@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closed import are_conjugate, reduced_closure
+from .closed import closure_invariant, reduced_closure
 from .elements import (
     TreePairElement,
     _check_compatible,
     compose,
-    equal_elements,
     invert,
+    reduce_element,
     reduced_elements,
 )
 from .perms import Perm, Subgroup
@@ -110,8 +110,9 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     most max_leaves leaves satisfying h^-1 f h = g, else None
     (inconclusive -- the oracle is one-sided, silence is not a verdict)."""
     _check_compatible(f, g)
+    target = reduce_element(g).key()
     for h in reduced_elements(f.n, f.subgroup, max_leaves):
-        if equal_elements(compose(compose(invert(h), f), h), g):
+        if reduce_element(compose(compose(invert(h), f), h)).key() == target:
             return h
     return None
 
@@ -158,15 +159,15 @@ def class_census_experiment(
     n: int, subgroup: Subgroup, p: int, max_leaves: int, report_lines=None
 ) -> int:
     """Enumerate elements of order exactly p with at most max_leaves leaves,
-    partition them by conjugacy, and return the class count (at most n, and
-    equal to n once max_leaves realizes every class).  Also asserts the
-    reduced closure of every such element has no sigma-vertices, which holds
-    whenever p does not divide ord(H)."""
+    bucket them by conjugacy invariant, and return the class count (at most
+    n, and equal to n once max_leaves realizes every class).  Also asserts
+    the reduced closure of every such element has no sigma-vertices, which
+    holds whenever p does not divide ord(H)."""
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
     if subgroup.order % p == 0:
         raise ValueError(f"p = {p} divides ord(H) = {subgroup.order}")
-    reps = []
+    classes = {}  # conjugacy invariant -> first element of the class
     for g in reduced_elements(n, subgroup, max_leaves):
         if not _order_exactly(g, p):
             continue
@@ -176,11 +177,8 @@ def class_census_experiment(
                 "order-p element with p coprime to ord(H) has a sigma-vertex "
                 "in its reduced closure"
             )
-        for rep in reps:
-            if are_conjugate(rep, g):
-                break
-        else:
-            reps.append(g)
+        classes.setdefault(closure_invariant(cd, subgroup), g)
+    reps = list(classes.values())
     if report_lines is not None:
         from .io import element_to_json
 

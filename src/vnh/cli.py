@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 oracle inconclusive, 4 internal
-invariant violation.  All output is ASCII with LF line endings and
-deterministic (canonical orderings throughout), so golden-file tests are
-stable.
+invariant violation or a search bound reached.  All output is ASCII with LF
+line endings and deterministic (canonical orderings throughout), so
+golden-file tests are stable.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ from .census import (
     count_order_p_classes,
     oracle_conjugate,
 )
-from .closed import are_conjugate, close, is_torsion, reduce_closed
+from .closed import (
+    LoopSearchBoundError,
+    are_conjugate,
+    close,
+    is_torsion,
+    reduce_closed,
+)
 from .diagrams import build_diagram
 from .elements import compose, element_order, invert, reduce_element
 from .io import element_from_json, element_to_json, subgroup_from_spec
@@ -237,7 +243,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RewriteCycleError, CochainError, AssertionError) as exc:
+    except (RewriteCycleError, CochainError, LoopSearchBoundError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
 

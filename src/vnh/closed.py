@@ -3,9 +3,13 @@
 Closing a (p,p,n)-strand diagram identifies each main sink with the matching
 main source and erases the joint; every closure edge carries winding weight
 1 and all others 0, so the per-edge integer cochain represents the class
-that counts trips around the annulus.  Equality of closed diagrams is
-equality of the underlying port graph together with that cohomology class,
-decided by spanning-tree normalization inside the canonical serialization.
+that counts trips around the annulus.  Equality of closed diagrams (`==`,
+`closed_equal`) is equality of the underlying port graph together with that
+cohomology class, decided by spanning-tree normalization inside the
+canonical serialization.  `reduce_closed` is not canonical in that sense:
+its result depends on the rewrite schedule and is unique only up to the
+vertex twists over H and coboundaries below, so reduced closures are
+compared with `conjugating_equivalent` or `gauge_canonical`.
 
 Components without splits and merges are free loops.  A vertex-free cycle
 is stored as a FreeLoop record the moment it appears; reduction composes
@@ -79,10 +83,6 @@ class ClosedDiagram:
             raise CochainError("winding must be positive on every oriented loop")
         self._g = graph
         self._canon = None
-
-    @classmethod
-    def _from_graph(cls, graph):
-        return cls(graph)
 
     @classmethod
     def from_loops(cls, n, loops):
@@ -207,10 +207,15 @@ def _extract_sigma_cycles(g):
 
 
 def reduce_closed(cd: ClosedDiagram, *, rng=None, trace=None) -> ClosedDiagram:
-    """Reduced form: no graph redex remains and every free loop is a record
-    with a single composite label."""
+    """Reduced form: no type I-III redex remains, no type IV path leads to
+    one, and every free loop is a record with a single composite label.
+
+    The result depends on the rewrite schedule (`rng`): it is unique only up
+    to vertex twists over H and coboundary, so compare reduced closures with
+    `conjugating_equivalent` or `gauge_canonical`, not with `==`.
+    """
     g = cd._g.copy()
-    _reduce_graph(g, rng=rng, trace=trace, closed=True)
+    _reduce_graph(g, rng=rng, trace=trace)
     _extract_sigma_cycles(g)
     return ClosedDiagram(g)
 
@@ -364,9 +369,14 @@ def _loop_tables(subgroup: Subgroup):
     return tables
 
 
+class LoopSearchBoundError(RuntimeError):
+    """Free-loop normalization reached its state bound before finishing."""
+
+
 def _normalize_loops(records, subgroup: Subgroup, max_states=6000):
     """Canonical minimal multiset reachable via loop refinement (both ways)
-    and per-loop H-conjugation; deterministic bounded BFS."""
+    and per-loop H-conjugation; deterministic BFS that raises
+    LoopSearchBoundError rather than return a result it did not finish."""
     rep = subgroup.class_rep
     for _, label in records:
         if label not in subgroup:
@@ -420,7 +430,9 @@ def _normalize_loops(records, subgroup: Subgroup, max_states=6000):
     while queue:
         state = queue.popleft()
         if len(seen) >= max_states:
-            break
+            raise LoopSearchBoundError(
+                f"free-loop normalization of {list(start)} passed {max_states} states"
+            )
         for nxt in moves(state):
             if nxt not in seen:
                 seen.add(nxt)
@@ -450,9 +462,7 @@ def conjugating_equivalent(
         ) == sorted(r2, key=_loop_token)
     if label_mode != "conjugacy":
         raise ValueError(f"unknown label_mode {label_mode!r}")
-    return gauge_canonical(c1, subgroup) == gauge_canonical(c2, subgroup) and (
-        _normalize_loops(r1, subgroup) == _normalize_loops(r2, subgroup)
-    )
+    return closure_invariant(c1, subgroup) == closure_invariant(c2, subgroup)
 
 
 # -- conjugacy decision for elements ---------------------------------------
@@ -462,21 +472,24 @@ def reduced_closure(g: TreePairElement) -> ClosedDiagram:
     return reduce_closed(close(build_diagram(reduce_element(g))))
 
 
-def conjugacy_invariant(g: TreePairElement, label_mode="conjugacy"):
-    """Hashable complete invariant: two elements are conjugate iff their
-    invariants are equal (at the default mode)."""
-    cd = reduced_closure(g)
+def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):
+    """Hashable invariant of a reduced closure: its graph part modulo vertex
+    twists over H and coboundary, and its normalized free-loop records."""
     records = [(fl.winding, fl.label) for fl in cd.free_loops]
-    if label_mode == "exact":
-        return cd.graph_canonical(), tuple(sorted(records, key=_loop_token))
-    return gauge_canonical(cd, g.subgroup), _normalize_loops(records, g.subgroup)
+    return gauge_canonical(cd, subgroup), _normalize_loops(records, subgroup)
 
 
-def are_conjugate(f: TreePairElement, g: TreePairElement, label_mode="conjugacy") -> bool:
+def conjugacy_invariant(g: TreePairElement):
+    """Hashable complete invariant: two elements are conjugate iff their
+    invariants are equal."""
+    return closure_invariant(reduced_closure(g), g.subgroup)
+
+
+def are_conjugate(f: TreePairElement, g: TreePairElement) -> bool:
     """Conjugacy in V_n(H): reduce, build diagrams, close, reduce, compare
     up to conjugating transformations."""
     _check_compatible(f, g)
-    return conjugacy_invariant(f, label_mode) == conjugacy_invariant(g, label_mode)
+    return conjugacy_invariant(f) == conjugacy_invariant(g)
 
 
 def is_torsion(g: TreePairElement) -> bool:

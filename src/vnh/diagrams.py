@@ -177,24 +177,11 @@ class _Graph:
 
     # -- views -----------------------------------------------------------
 
-    def vertices(self):
-        return list(self.kind)
-
     def counts(self):
         c = {SPLIT: 0, MERGE: 0, SIGMA: 0, SOURCE: 0, SINK: 0}
         for kind in self.kind.values():
             c[kind] += 1
         return c
-
-    def neighbors_undirected(self, vid):
-        out = []
-        for (v, _p), eid in self.out_at.items():
-            if v == vid:
-                out.append(self.edges[eid][2])
-        for (v, _p), eid in self.in_at.items():
-            if v == vid:
-                out.append(self.edges[eid][0])
-        return out
 
     def components(self):
         seen = set()
@@ -240,9 +227,9 @@ class _Graph:
         while queue:
             v = queue.pop()
             seen += 1
-            for (u, _p), eid in list(self.out_at.items()):
-                if u == v:
-                    w = self.edges[eid][2]
+            for d, p in _scan_ports(self.kind[v], self.n):
+                if d == "o":
+                    w = self.edges[self.out_at[(v, p)]][2]
                     indeg[w] -= 1
                     if indeg[w] == 0:
                         queue.append(w)
@@ -343,10 +330,6 @@ class StrandDiagram:
             raise DiagramError("split/merge count identity violated")
         self._g = graph
         self._canon = None
-
-    @classmethod
-    def _from_graph(cls, graph):
-        return cls(graph)
 
     @property
     def n(self):

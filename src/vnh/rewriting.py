@@ -19,9 +19,13 @@ loop case of rule IV is the record-level consolidation performed by
 `closed.reduce_closed`; on graphs it is subsumed by the loop supports of
 rules I and II.
 
-`reduce` exhausts I-III before each IV attempt and keeps a seen-set of
-canonical serializations: the unique reduced form does not depend on the
-order (local confluence), and a revisit raises instead of looping.
+`reduce` and `closed.reduce_closed` run one driver, `_reduce_graph`.  It
+picks redexes by the plain key (rule priority, anchor ids), or at random
+when given an `rng`, and never serializes a diagram: states are keyed
+exactly by `_state_key`.  Open diagrams reduce to a unique form whatever
+the order (local confluence).  Closed diagrams reduce to a form unique only
+up to vertex twists over H and coboundary; `closed.gauge_canonical`
+compares them.
 """
 
 from __future__ import annotations
@@ -177,12 +181,8 @@ def _find(g):
 
 
 def find_redexes(d):
-    """All redexes of a diagram, in canonical-serialization order."""
-    g = d._g
-    order = {v: i for i, v in enumerate(d.canonical_order())}
-    redexes = _find(g)
-    redexes.sort(key=lambda r: (_PRIORITY[r.rule], tuple(order[v] for v in r.anchors)))
-    return redexes
+    """All redexes of a diagram, in the reduction driver's order."""
+    return _order(_find(d._g))
 
 
 # -- applications ----------------------------------------------------------
@@ -379,7 +379,7 @@ def apply_reduction(d, redex: Redex):
     closed = not g.sources and not g.sinks
     if closed and not g.positive_on_loops():
         raise CochainError("reduction produced a nonpositive loop winding")
-    return type(d)._from_graph(g)
+    return type(d)(g)
 
 
 def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_vertices=None):
@@ -463,139 +463,132 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
     closed = not g.sources and not g.sinks
     if closed and not g.positive_on_loops():
         raise CochainError("inverse produced a nonpositive loop winding")
-    return type(d)._from_graph(g)
+    return type(d)(g)
 
 
-def _sorted_redexes(g, redexes, closed):
-    if closed:
-        _, order_list = g.closed_canonical()
-    else:
-        _, order_list = g.canon_from(g.sources, with_weights=False)
-    order = {v: i for i, v in enumerate(order_list)}
-    return sorted(
-        redexes, key=lambda r: (_PRIORITY[r.rule], tuple(order[v] for v in r.anchors))
-    )
+def _order(redexes):
+    """The driver's redex order: rule priority, then anchor vertex ids."""
+    return sorted(redexes, key=lambda r: (_PRIORITY[r.rule], r.anchors))
 
 
-def _exhaust_I_II_III(g, *, rng=None, trace=None, closed=False):
-    """Greedy exhaustion of rules I-III (terminating: I/II shrink the
-    split+merge count, III shrinks the sigma count)."""
-    while True:
-        redexes = [r for r in _find(g) if r.rule != "IV"]
-        if not redexes:
-            return
-        if rng is not None:
-            redex = rng.choice(sorted(redexes, key=lambda r: (r.rule, r.anchors)))
-        else:
-            redex = _sorted_redexes(g, redexes, closed)[0]
-        _apply(g, redex)
-        if trace is not None:
-            trace.append((redex.rule, redex.anchors))
-        if closed and not g.positive_on_loops():
-            raise CochainError("reduction produced a nonpositive loop winding")
+def _step(g, redex, trace, closed):
+    _apply(g, redex)
+    trace.append((redex.rule, redex.anchors))
+    if closed and not g.positive_on_loops():
+        raise CochainError("reduction produced a nonpositive loop winding")
 
 
-def _reduce_graph(g, *, rng=None, trace=None, closed=False):
-    """Exhaust all graph-level redexes in place; returns the trace list.
+def _state_key(g):
+    """Exact hashable state of g, independent of sigma-vertex ids.
 
-    Open diagrams terminate outright (type IV pushes sigma-vertices
-    monotonically through the acyclic skeleton); the seen-set guard turns
-    any unforeseen revisit into a diagnostic rather than a hang.
+    Forward moves never create split, merge, source or sink vertices and ids
+    are never reused, so those vertices keep their ids.  Each path from one
+    of their out-ports to the next such vertex is recorded by its two ends
+    and the sequence of edge weights and sigma labels along it; sigma-only
+    cycles (by their least rotation) and free-loop records are multisets.
+    """
+    paths = set()
+    on_path = set()
+    for (v, p), eid in g.out_at.items():
+        if g.kind[v] == SIGMA:
+            continue
+        seq = []
+        while True:
+            _, _, head, hport, w = g.edges[eid]
+            seq.append(w)
+            if g.kind[head] != SIGMA:
+                break
+            on_path.add(head)
+            seq.append(g.label[head].images)
+            eid = g.out_at[(head, 1)]
+        paths.add((v, p, head, hport, tuple(seq)))
+    cycles = []
+    for v, kind in g.kind.items():
+        if kind != SIGMA or v in on_path:
+            continue
+        cycle, u = [], v
+        while u not in on_path:
+            on_path.add(u)
+            eid = g.out_at[(u, 1)]
+            cycle.append((g.label[u].images, g.edges[eid][4]))
+            u = g.edges[eid][2]
+        cycles.append(min(tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))))
+    loops = sorted((w, lab.images) for w, lab in g.free_loops)
+    return frozenset(paths), tuple(sorted(cycles)), tuple(loops)
 
-    Closed diagrams can cycle under type IV: a sigma-vertex pushed around a
-    directed cycle of merges or splits returns to its starting edge.  The
-    driver therefore alternates a greedy I-III phase with a breadth-first
-    plateau search over macro-steps (one type IV, then III re-exhaustion):
-    any plateau state enabling an I/II collapse is taken as progress (the
-    split+merge count strictly drops, so this loops finitely); when no
-    progress is reachable the orbit is finite and the state with minimal
-    canonical serialization is the reduced form, independent of the path
-    that entered the orbit.
+
+def _reduce_graph(g, *, rng=None, trace=None):
+    """Exhaust all graph-level redexes of g in place; returns the trace list.
+
+    Redexes are taken in `_order`, or picked by `rng` when given.  Open
+    graphs (with main sources and sinks) terminate outright: type IV pushes
+    sigma-vertices monotonically through the acyclic skeleton.  Closed
+    graphs can cycle under type IV, a sigma-vertex pushed around a directed
+    cycle of merges or splits returning to its starting edge; there the
+    driver applies I-III only, and when none is left `_plateau` looks for a
+    type IV path to an I/II collapse.  The split+merge count drops with each
+    collapse, so this loops finitely.  A revisited state (by `_state_key`)
+    raises RewriteCycleError instead of hanging.
+
+    The result is reduced but depends on the schedule: for closed graphs it
+    is unique only up to vertex twists over H and coboundary.
     """
     if trace is None:
         trace = []
-    if not closed:
-        seen = set()
-        while True:
-            redexes = _find(g)
-            if not redexes:
-                return trace
-            if rng is not None:
-                redex = rng.choice(sorted(redexes, key=lambda r: (r.rule, r.anchors)))
-            else:
-                redex = _sorted_redexes(g, redexes, closed=False)[0]
-            _apply(g, redex)
-            trace.append((redex.rule, redex.anchors))
-            key, _ = g.canon_from(g.sources, with_weights=False)
-            if key in seen:
-                raise RewriteCycleError(trace)
-            seen.add(key)
-
+    closed = not g.sources and not g.sinks
+    seen = set()
     while True:
-        _exhaust_I_II_III(g, rng=rng, trace=trace, closed=True)
-        if not any(r.rule == "IV" for r in _find(g)):
+        redexes = _find(g)
+        if closed:
+            redexes = [r for r in redexes if r.rule != "IV"]
+            if not redexes and _plateau(g, trace):
+                continue
+        if not redexes:
             return trace
-        progress, final = _plateau(g, trace)
-        if progress is None:
-            _restore(g, final)
-            return trace
-        _restore(g, progress)
+        redexes = _order(redexes)
+        _step(g, redexes[0] if rng is None else rng.choice(redexes), trace, closed)
+        key = _state_key(g)
+        if key in seen:
+            raise RewriteCycleError(trace)
+        seen.add(key)
 
 
 def _plateau(g, trace):
-    """Breadth-first closure of g under (type IV; exhaust III) macro-steps.
+    """Breadth-first search of g's type IV plateau for an I/II collapse.
 
-    Returns (progress_state, minimal_state): progress_state is the first
-    state found enabling a type I or II redex (None if none is reachable);
-    minimal_state is the canonically smallest state of the explored orbit.
+    A plateau move is one type IV followed by type III until an I/II redex
+    appears or none is left (III never destroys an I/II redex).  If some
+    reachable state enables a type I or II redex, g becomes that state, the
+    moves to it are appended to trace, and the result is True.  Otherwise g
+    is unchanged and reduced, and the result is False.
     """
-    start_key, _ = g.closed_canonical()
-    start = g.copy()
-    seen = {start_key}
-    queue = deque([start])
-    best = (start_key, start)
+    seen = {_state_key(g)}
+    queue = deque([(g, [])])
     while queue:
-        state = queue.popleft()
-        ivs = [r for r in _find(state) if r.rule == "IV"]
-        for redex in _sorted_redexes(state, ivs, closed=True):
-            nxt = state.copy()
-            _apply(nxt, redex)
-            _exhaust_I_II_III(nxt, closed=True)
-            if not nxt.positive_on_loops():
-                raise CochainError("reduction produced a nonpositive loop winding")
-            key, _ = nxt.closed_canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            if any(r.rule in ("I", "I-identity", "II", "II-identity") for r in _find(nxt)):
-                # should not happen: III exhaustion ran; I/II get applied there
-                raise AssertionError("unreduced plateau state")
-            if nxt.counts()[SPLIT] + nxt.counts()[MERGE] < state.counts()[SPLIT] + state.counts()[MERGE]:
-                trace.append(("IV", redex.anchors))
-                return nxt, None
-            queue.append(nxt)
-            if key < best[0]:
-                best = (key, nxt)
-    return None, best[1]
-
-
-def _restore(g, src):
-    g.kind = src.kind
-    g.label = src.label
-    g.edges = src.edges
-    g.out_at = src.out_at
-    g.in_at = src.in_at
-    g.sources = src.sources
-    g.sinks = src.sinks
-    g.free_loops = src.free_loops
-    g._next_v = src._next_v
-    g._next_e = src._next_e
+        state, moves = queue.popleft()
+        for redex in _order(r for r in _find(state) if r.rule == "IV"):
+            nxt, path = state.copy(), list(moves)
+            _step(nxt, redex, path, closed=True)
+            while True:
+                rest = _order(r for r in _find(nxt) if r.rule != "IV")
+                if not rest:
+                    break
+                if not rest[0].rule.startswith("III"):
+                    vars(g).update(vars(nxt))
+                    trace.extend(path)
+                    return True
+                _step(nxt, rest[0], path, closed=True)
+            key = _state_key(nxt)
+            if key not in seen:
+                seen.add(key)
+                queue.append((nxt, path))
+    return False
 
 
 def reduce(d: StrandDiagram, *, rng=None, trace=None) -> StrandDiagram:
-    """Unique reduced form of an open strand diagram."""
+    """Reduced form of an open strand diagram, unique by confluence."""
     g = d._g.copy()
-    _reduce_graph(g, rng=rng, trace=trace, closed=False)
+    _reduce_graph(g, rng=rng, trace=trace)
     return StrandDiagram(g)
 
 

@@ -21,10 +21,6 @@ import random
 LEAF = ()
 
 
-def is_leaf(tree) -> bool:
-    return tree == LEAF
-
-
 def validate_tree(tree, n: int) -> None:
     if tree == LEAF:
         return
@@ -60,15 +56,6 @@ def leaf_addresses(tree):
             for c in range(len(node), 0, -1):
                 stack.append((prefix + (c,), node[c - 1]))
     return out
-
-
-def subtree_at(tree, address):
-    node = tree
-    for c in address:
-        if node == LEAF:
-            raise ValueError(f"address {address} runs past a leaf")
-        node = node[c - 1]
-    return node
 
 
 def replace_at(tree, address, subtree):

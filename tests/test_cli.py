@@ -1,9 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from vnh import closed
 from vnh.cli import main
 from vnh.io import element_from_json
 from vnh.elements import equal_elements, identity_element, reduce_element
@@ -65,6 +67,15 @@ def test_conjugate_global_vs_caret_z2(files, capsys):
 
 def test_conjugate_mismatch_exit2(files, capsys):
     assert main(["conjugate", files["id"], files["glob"]]) == 2
+
+
+def test_loop_search_bound_exits_4(files, capsys, monkeypatch):
+    monkeypatch.setattr(closed, "_NORMALIZE_CACHE", {})
+    monkeypatch.setattr(
+        closed, "_normalize_loops", functools.partial(closed._normalize_loops, max_states=1)
+    )
+    assert main(["conjugate", files["glob"], files["caret_z2"]]) == 4
+    assert "passed 1 states" in capsys.readouterr().err
 
 
 def test_compose_reduce_pipeline(files, capsys, monkeypatch, tmp_path):

@@ -2,13 +2,17 @@ import random
 
 import pytest
 
+from vnh import closed as closed_module
 from vnh.closed import (
     ClosedDiagram,
     FreeLoop,
+    LoopSearchBoundError,
+    _normalize_loops,
     add_coboundary,
     are_conjugate,
     close,
     closed_equal,
+    closure_invariant,
     conjugacy_invariant,
     conjugating_equivalent,
     is_torsion,
@@ -29,6 +33,7 @@ from vnh.elements import (
     identity_element,
     invert,
     random_element,
+    reduce_element,
 )
 from vnh.perms import Perm, Subgroup
 from vnh.trees import LEAF
@@ -309,6 +314,39 @@ def test_reduce_closed_idempotent(rng, group):
     for _ in range(10):
         cd = reduce_closed(close(build_diagram(random_element(n, h, rng))))
         assert closed_equal(reduce_closed(cd), cd)
+
+
+def test_reduce_closed_unique_up_to_gauge_on_schedule_counterexample():
+    # Different schedules reduce this closure to different diagrams (their
+    # canonical strings differ); gauge class and loop records agree.
+    h = Subgroup.symmetric(3)
+    tree = (LEAF, LEAF, (LEAF, LEAF, LEAF))
+    labels = tuple(Perm(x) for x in ((2, 1, 3), (1, 2, 3), (3, 1, 2), (3, 2, 1), (1, 2, 3)))
+    g = TreePairElement(3, h, tree, tree, (5, 4, 3, 1, 2), labels)
+    cd = close(build_diagram(reduce_element(g)))
+    expected = closure_invariant(reduce_closed(cd), h)
+    for k in range(6):
+        assert closure_invariant(reduce_closed(cd, rng=random.Random(k)), h) == expected
+
+
+def test_reduce_closed_unique_up_to_gauge_under_random_schedules(rng, group):
+    n, h = group
+    for _ in range(10):
+        cd = close(build_diagram(random_element(n, h, rng)))
+        expected = closure_invariant(reduce_closed(cd), h)
+        for _ in range(3):
+            reduced = reduce_closed(cd, rng=random.Random(rng.random()))
+            assert closure_invariant(reduced, h) == expected
+
+
+def test_normalize_loops_raises_at_its_state_bound(monkeypatch):
+    monkeypatch.setattr(closed_module, "_NORMALIZE_CACHE", {})
+    h = Subgroup.trivial(2)
+    records = [(1, Perm.identity(2))]
+    with pytest.raises(LoopSearchBoundError):
+        _normalize_loops(records, h, max_states=2)
+    assert not issubclass(LoopSearchBoundError, ValueError)
+    assert _normalize_loops(records, h) == ((1, Perm.identity(2)),)
 
 
 def test_conjugacy_invariant_is_stable_under_conjugation(rng, group):

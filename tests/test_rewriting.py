@@ -152,6 +152,24 @@ def test_confluence_fuzz_randomized_schedules(rng, group):
         assert diagram_equal(r1, reduce(d))
 
 
+def test_reduction_never_serializes(monkeypatch, rng, group):
+    n, h = group
+    opens = [random_open_diagram(n, h, rng) for _ in range(10)]
+    closures = [close(build_diagram(random_element(n, h, rng))) for _ in range(10)]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("canonical serialization inside the rewrite loop")
+
+    monkeypatch.setattr(_Graph, "canon_from", refuse)
+    monkeypatch.setattr(_Graph, "closed_canonical", refuse)
+    for d in opens:
+        reduce(d)
+        reduce(d, rng=random.Random(rng.random()))
+    for cd in closures:
+        reduce_closed(cd)
+        reduce_closed(cd, rng=random.Random(rng.random()))
+
+
 def test_measure_monotonicity(rng, group):
     # I and II strictly decrease splits+merges; III decreases sigma count;
     # IV preserves splits+merges.
