@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 oracle inconclusive, 4 internal
-invariant violation or a search bound reached.  All output is ASCII with LF
-line endings and deterministic (canonical orderings throughout), so
-golden-file tests are stable.
+invariant violation.  All output is ASCII with LF line endings and
+deterministic (canonical orderings throughout), so golden-file tests are
+stable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .census import (
     oracle_conjugate,
 )
 from .closed import (
-    LoopSearchBoundError,
     are_conjugate,
     close,
     is_torsion,
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RewriteCycleError, CochainError, LoopSearchBoundError, AssertionError) as exc:
+    except (RewriteCycleError, CochainError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
 

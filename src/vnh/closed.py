@@ -26,15 +26,22 @@ conjugation can perform:
     elements of H at its vertices (the composition-order residue of the
     type III moves can land anywhere along a cycle).
 
-The record matching explores the first two moves breadth-first to a
-canonical minimal multiset; the gauge quotient is canonicalized exactly by
-nonabelian spanning-tree gauge fixing.  The oracle cross-check in the
-census module guards these readings empirically.
+The first two moves act on records (w, [s]), [s] an H-class; refinement
+v = r(v) is the defining relation of a graph monoid, where two multisets
+are equal iff they have a common *forward* refinement (Ara-Moreno-Pardo,
+"Nonstable K-theory for graph algebras", 2007).  A fixed-point-free loop
+equals its refinement, whose loops all have fixed points, and refining a
+loop v with a fixed point keeps v and adds D_v = r(v) - v >= 0.  So such
+multisets a, b are equivalent iff they have the same support closure S
+(finite: the descendants of (w, s) are (w*m, [s^m]) with m | ord(s)) and
+a - b lies in the integer span of {D_v : v in S}; `_loop_class` decides
+this exactly, with no search bound.  The gauge quotient is canonicalized
+exactly by nonabelian spanning-tree gauge fixing.  The oracle cross-check
+in the census module guards these readings empirically.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -346,101 +353,71 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
 # -- free-loop record equivalence ------------------------------------------
 
 
-_LOOP_TABLES = {}
-_NORMALIZE_CACHE = {}
-
-
-def _loop_tables(subgroup: Subgroup):
-    """Per class representative s: sorted ((L, rep(s^L)) per orbit of s).
-
-    The same table drives both directions of the refinement move: (w, s)
-    refines into {(w*L, rep(s^L))}, and that family consolidates to (w, s).
-    """
-    tables = _LOOP_TABLES.get(subgroup)
-    if tables is None:
-        rep = subgroup.class_rep
-        tables = {}
-        for sig in sorted({rep(p) for p in subgroup.elements}):
-            children = tuple(
-                sorted((len(o), rep(sig ** len(o))) for o in sig.orbits())
-            )
-            tables[sig] = children
-        _LOOP_TABLES[subgroup] = tables
-    return tables
-
-
-class LoopSearchBoundError(RuntimeError):
-    """Free-loop normalization reached its state bound before finishing."""
-
-
-def _normalize_loops(records, subgroup: Subgroup, max_states=6000):
-    """Canonical minimal multiset reachable via loop refinement (both ways)
-    and per-loop H-conjugation; deterministic BFS that raises
-    LoopSearchBoundError rather than return a result it did not finish."""
+def _loop_class(records, subgroup: Subgroup):
+    """Complete invariant of free-loop records under relabelling within an
+    H-class and refinement through orbits: (support closure S in column
+    order, the record vector reduced modulo the lattice of refinement
+    increments over S).  Memoised on the subgroup."""
     rep = subgroup.class_rep
     for _, label in records:
         if label not in subgroup:
             raise ValueError(f"free-loop label {label!r} outside H")
     start = tuple(sorted((w, rep(label)) for w, label in records))
-    if not start:
-        return start
-    cached = _NORMALIZE_CACHE.get((subgroup, start))
+    cached = subgroup._loop_classes.get(start)
     if cached is not None:
         return cached
-    n = subgroup.n
-    cap_total = max(12, n * sum(w for w, _ in start) + 4)
-    tables = _loop_tables(subgroup)
+    refine = subgroup.refinement
+    counts = {}
+    for w, s in start:
+        row = refine(s)
+        # A fixed-point-free loop is replaced by its refinement.
+        for v in [(w, s)] if row[0][0] == 1 else [(w * L, c) for L, c in row]:
+            counts[v] = counts.get(v, 0) + 1
+    closure, stack = set(counts), list(counts)
+    while stack:
+        w, s = stack.pop()
+        for L, c in refine(s):
+            v = (w * L, c)
+            if v not in closure:
+                closure.add(v)
+                stack.append(v)
+    cols = sorted(closure, key=lambda v: (-v[1].order(), v))
+    index = {v: i for i, v in enumerate(cols)}
+    rows = []
+    for i, (w, s) in enumerate(cols):
+        row = [0] * len(cols)
+        row[i] = -1
+        for L, c in refine(s):
+            row[index[(w * L, c)]] += 1
+        rows.append(row)
+    vec = [counts.get(v, 0) for v in cols]
+    for j, pivot in _echelon(rows, len(cols)):
+        q = vec[j] // pivot[j]
+        if q:
+            vec = [x - q * y for x, y in zip(vec, pivot)]
+    result = subgroup._loop_classes[start] = (tuple(cols), tuple(vec))
+    return result
 
-    def moves(state):
-        out = []
-        done = set()
-        total = sum(x[0] for x in state)
-        for idx, (w, label) in enumerate(state):
-            if (w, label) in done:
-                continue
-            done.add((w, label))
-            children = tuple((w * L, cl) for L, cl in tables[label])
-            if total - w + sum(x[0] for x in children) <= cap_total:
-                out.append(tuple(sorted(state[:idx] + state[idx + 1 :] + children)))
-        max_w = max(x[0] for x in state)
-        pool_count = {}
-        for item in state:
-            pool_count[item] = pool_count.get(item, 0) + 1
-        for sig, children in tables.items():
-            for w0 in range(1, max_w + 1):
-                family = {}
-                for L, cl in children:
-                    item = (w0 * L, cl)
-                    family[item] = family.get(item, 0) + 1
-                if all(pool_count.get(it, 0) >= c for it, c in family.items()):
-                    pool = list(state)
-                    for it, c in family.items():
-                        for _ in range(c):
-                            pool.remove(it)
-                    pool.append((w0, sig))
-                    out.append(tuple(sorted(pool)))
-        return out
 
-    def key(state):
-        return (sum(x[0] for x in state), len(state), state)
-
-    best = start
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if len(seen) >= max_states:
-            raise LoopSearchBoundError(
-                f"free-loop normalization of {list(start)} passed {max_states} states"
-            )
-        for nxt in moves(state):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                if key(nxt) < key(best):
-                    best = nxt
-    _NORMALIZE_CACHE[(subgroup, start)] = best
-    return best
+def _echelon(rows, width):
+    """Integer row echelon basis of the lattice spanned by rows, as
+    (pivot column, row) with a positive pivot, by gcd elimination."""
+    basis = []
+    for j in range(width):
+        live = [r for r in rows if r[j]]
+        rows = [r for r in rows if not r[j]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[j]))
+            pivot, nxt = live[0], [live[0]]
+            for r in live[1:]:
+                q = r[j] // pivot[j]
+                r = [x - q * y for x, y in zip(r, pivot)]
+                (nxt if r[j] else rows).append(r)
+            live = nxt
+        if live:
+            pivot = live[0]
+            basis.append((j, pivot if pivot[j] > 0 else [-x for x in pivot]))
+    return basis
 
 
 def conjugating_equivalent(
@@ -474,9 +451,11 @@ def reduced_closure(g: TreePairElement) -> ClosedDiagram:
 
 def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):
     """Hashable invariant of a reduced closure: its graph part modulo vertex
-    twists over H and coboundary, and its normalized free-loop records."""
+    twists over H and coboundary, and the class of its free-loop records
+    under relabelling and refinement -- their support closure and their
+    residue modulo the lattice of refinement increments (`_loop_class`)."""
     records = [(fl.winding, fl.label) for fl in cd.free_loops]
-    return gauge_canonical(cd, subgroup), _normalize_loops(records, subgroup)
+    return gauge_canonical(cd, subgroup), _loop_class(records, subgroup)
 
 
 def conjugacy_invariant(g: TreePairElement):

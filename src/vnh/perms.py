@@ -120,11 +120,13 @@ def _closure(n, generators):
 class Subgroup:
     """A subgroup H <= Sym(n), enumerated in full.
 
-    Carries membership, per-element conjugacy classes and canonical class
-    representatives (minimum image tuple in the class).
+    Carries membership, per-element conjugacy classes, canonical class
+    representatives (minimum image tuple in the class), and the per-class
+    caches of the free-loop layer: the orbit refinement table and the memo
+    of `closed._loop_class`.
     """
 
-    __slots__ = ("n", "generators", "elements", "_class_rep")
+    __slots__ = ("n", "generators", "elements", "_class_rep", "_refinements", "_loop_classes")
 
     def __init__(self, n: int, generators=()):
         generators = tuple(generators)
@@ -135,6 +137,8 @@ class Subgroup:
         self.generators = generators
         self.elements = _closure(n, generators)
         self._class_rep = {}
+        self._refinements = {}
+        self._loop_classes = {}
 
     @classmethod
     def trivial(cls, n: int) -> "Subgroup":
@@ -179,8 +183,21 @@ class Subgroup:
     def are_conjugate(self, p: Perm, q: Perm) -> bool:
         return self.class_rep(p) == self.class_rep(q)
 
+    def refinement(self, p: Perm):
+        """Sorted (L, class_rep(p^L)) over the orbits of p, L the orbit size.
+
+        A free loop (w, p) refines into the loops (w * L, p^L), one per
+        orbit; the row depends only on p's H-conjugacy class.
+        """
+        rep = self.class_rep(p)
+        row = self._refinements.get(rep)
+        if row is None:
+            row = tuple(sorted((len(o), self.class_rep(rep ** len(o))) for o in rep.orbits()))
+            self._refinements[rep] = row
+        return row
+
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Subgroup)
             and self.n == other.n
             and self.elements == other.elements

@@ -1,20 +1,21 @@
-import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from vnh import closed
 from vnh.cli import main
-from vnh.io import element_from_json
-from vnh.elements import equal_elements, identity_element, reduce_element
+from vnh.io import element_from_json, element_to_json
+from vnh.elements import compose, equal_elements, identity_element, invert, reduce_element
 from vnh.perms import Subgroup
 
 IDENT = '{"n": 2, "H": [], "domain": "*", "range": "*", "tau": [1], "labels": [[1, 2]]}'
 SWAP = '{"n": 2, "H": [], "domain": "(* *)", "range": "(* *)", "tau": [2, 1], "labels": [[1, 2], [1, 2]]}'
 GLOBAL_SWAP = '{"n": 2, "H": [[2, 1]], "domain": "*", "range": "*", "tau": [1], "labels": [[2, 1]]}'
 CARET_SWAP_Z2 = '{"n": 2, "H": [[2, 1]], "domain": "(* *)", "range": "(* *)", "tau": [2, 1], "labels": [[1, 2], [1, 2]]}'
+# A V4(S4) element whose free loops a 6,000-state search could not normalize.
+V4_S4_LOOPS = '{"n": 4, "H": [[2, 1, 3, 4], [2, 3, 4, 1]], "domain": "(* (* * * *) * *)", "range": "(* * (* * * *) *)", "tau": [3, 7, 6, 1, 4, 2, 5], "labels": [[4, 1, 2, 3], [3, 4, 1, 2], [1, 3, 2, 4], [3, 4, 2, 1], [3, 4, 2, 1], [4, 2, 3, 1], [2, 3, 1, 4]]}'
+V4_S4_CONJUGATOR = '{"n": 4, "H": [[2, 1, 3, 4], [2, 3, 4, 1]], "domain": "(* * * (* * * *))", "range": "(* * * (* * * *))", "tau": [1, 2, 5, 3, 6, 7, 4], "labels": [[4, 2, 3, 1], [3, 4, 2, 1], [4, 1, 3, 2], [3, 4, 1, 2], [1, 2, 4, 3], [4, 1, 3, 2], [1, 2, 4, 3]]}'
 
 
 @pytest.fixture
@@ -65,17 +66,20 @@ def test_conjugate_global_vs_caret_z2(files, capsys):
     assert capsys.readouterr().out.strip() == "conjugate: true"
 
 
+def test_conjugate_v4_s4_loops_need_no_search_bound(tmp_path, capsys):
+    g = element_from_json(V4_S4_LOOPS)
+    h = element_from_json(V4_S4_CONJUGATOR)
+    paths = []
+    for name, elem in [("g", g), ("hgh", compose(compose(h, g), invert(h)))]:
+        p = tmp_path / f"{name}.json"
+        p.write_text(element_to_json(elem))
+        paths.append(str(p))
+    assert main(["conjugate", *paths]) == 0
+    assert capsys.readouterr().out.strip() == "conjugate: true"
+
+
 def test_conjugate_mismatch_exit2(files, capsys):
     assert main(["conjugate", files["id"], files["glob"]]) == 2
-
-
-def test_loop_search_bound_exits_4(files, capsys, monkeypatch):
-    monkeypatch.setattr(closed, "_NORMALIZE_CACHE", {})
-    monkeypatch.setattr(
-        closed, "_normalize_loops", functools.partial(closed._normalize_loops, max_states=1)
-    )
-    assert main(["conjugate", files["glob"], files["caret_z2"]]) == 4
-    assert "passed 1 states" in capsys.readouterr().err
 
 
 def test_compose_reduce_pipeline(files, capsys, monkeypatch, tmp_path):

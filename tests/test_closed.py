@@ -1,13 +1,14 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vnh import closed as closed_module
 from vnh.closed import (
     ClosedDiagram,
     FreeLoop,
-    LoopSearchBoundError,
-    _normalize_loops,
+    _loop_class,
     add_coboundary,
     are_conjugate,
     close,
@@ -339,14 +340,139 @@ def test_reduce_closed_unique_up_to_gauge_under_random_schedules(rng, group):
             assert closure_invariant(reduced, h) == expected
 
 
-def test_normalize_loops_raises_at_its_state_bound(monkeypatch):
-    monkeypatch.setattr(closed_module, "_NORMALIZE_CACHE", {})
-    h = Subgroup.trivial(2)
-    records = [(1, Perm.identity(2))]
-    with pytest.raises(LoopSearchBoundError):
-        _normalize_loops(records, h, max_states=2)
-    assert not issubclass(LoopSearchBoundError, ValueError)
-    assert _normalize_loops(records, h) == ((1, Perm.identity(2)),)
+def test_loop_class_needs_no_search_bound_on_v4_s4():
+    # A two-way BFS over these records passes 6,000 states; with 60,000 it
+    # reaches the second list.
+    h = Subgroup.symmetric(4)
+    transposition, cycle = Perm((1, 2, 4, 3)), Perm((2, 3, 4, 1))
+    a = [(1, transposition), (2, cycle), (4, Perm.identity(4))]
+    b = [(1, transposition), (1, cycle), (2, cycle)]
+    assert _loop_class(a, h) == _loop_class(b, h)
+
+
+def test_loop_class_finds_refinements_past_a_winding_cap():
+    # 2 (2, t) and (2, t) + (2, u) over S4, t a transposition and u a double
+    # transposition, have the common forward refinement 3 (2, t) + 4 (4, 1)
+    # of total winding 22; a BFS whose states may total at most 20 keeps
+    # them apart.
+    h = Subgroup.symmetric(4)
+    t, u, one = Perm((1, 2, 4, 3)), Perm((2, 1, 4, 3)), Perm.identity(4)
+
+    def refine(records, i):
+        w, label = records[i]
+        return records[:i] + records[i + 1 :] + [(w * L, c) for L, c in h.refinement(label)]
+
+    a = [(2, t), (2, t)]
+    b = [(2, t), (2, u)]
+    common = sorted(refine(refine(a, 0), 3))
+    assert common == sorted(refine(refine(refine(b, 1), 0), 2))
+    assert common == [(2, t)] * 3 + [(4, one)] * 4
+    assert _loop_class(a, h) == _loop_class(b, h) == _loop_class(common, h)
+
+
+def test_loop_class_rejects_labels_outside_h():
+    with pytest.raises(ValueError):
+        _loop_class([(1, Perm((2, 1)))], Subgroup.trivial(2))
+
+
+_BFS_CACHE = {}
+
+
+def _bfs_normal_form(records, subgroup, max_states=6000):
+    """Canonical minimal multiset reachable via loop refinement (both ways)
+    and per-loop H-conjugation, by a deterministic BFS that returns None at
+    its state bound.  A test oracle for `_loop_class`."""
+    rep = subgroup.class_rep
+    start = tuple(sorted((w, rep(label)) for w, label in records))
+    if not start:
+        return start
+    if (subgroup, start) in _BFS_CACHE:
+        return _BFS_CACHE[(subgroup, start)]
+    n = subgroup.n
+    cap_total = max(12, n * sum(w for w, _ in start) + 4)
+    tables = {sig: subgroup.refinement(sig) for sig in {rep(p) for p in subgroup.elements}}
+
+    def moves(state):
+        out = []
+        done = set()
+        total = sum(x[0] for x in state)
+        for idx, (w, label) in enumerate(state):
+            if (w, label) in done:
+                continue
+            done.add((w, label))
+            children = tuple((w * L, cl) for L, cl in tables[label])
+            if total - w + sum(x[0] for x in children) <= cap_total:
+                out.append(tuple(sorted(state[:idx] + state[idx + 1 :] + children)))
+        max_w = max(x[0] for x in state)
+        pool_count = {}
+        for item in state:
+            pool_count[item] = pool_count.get(item, 0) + 1
+        for sig, children in tables.items():
+            for w0 in range(1, max_w + 1):
+                family = {}
+                for L, cl in children:
+                    item = (w0 * L, cl)
+                    family[item] = family.get(item, 0) + 1
+                if all(pool_count.get(it, 0) >= c for it, c in family.items()):
+                    pool = list(state)
+                    for it, c in family.items():
+                        for _ in range(c):
+                            pool.remove(it)
+                    pool.append((w0, sig))
+                    out.append(tuple(sorted(pool)))
+        return out
+
+    def key(state):
+        return (sum(x[0] for x in state), len(state), state)
+
+    best = start
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if len(seen) >= max_states:
+            best = None
+            break
+        for nxt in moves(state):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                if key(nxt) < key(best):
+                    best = nxt
+    _BFS_CACHE[(subgroup, start)] = best
+    return best
+
+
+LOOP_SUBGROUPS = {
+    "trivial(2)": Subgroup.trivial(2),
+    "symmetric(2)": Subgroup.symmetric(2),
+    "symmetric(3)": Subgroup.symmetric(3),
+    "cyclic(3)": Subgroup.cyclic(3),
+    "symmetric(4)": Subgroup.symmetric(4),
+}
+
+
+def _records(h):
+    loop = st.tuples(st.integers(1, 3), st.sampled_from(sorted(h.elements)))
+    return st.lists(loop, min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_SUBGROUPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_loop_class_matches_bfs_normal_form(name, data):
+    h = LOOP_SUBGROUPS[name]
+    a = data.draw(_records(h), label="a")
+    b = data.draw(_records(h), label="b")
+    nf_a, nf_b = _bfs_normal_form(a, h), _bfs_normal_form(b, h)
+    assume(nf_a is not None and nf_b is not None)
+    assert (_loop_class(a, h) == _loop_class(b, h)) == (nf_a == nf_b)
+    assert _loop_class(nf_a, h) == _loop_class(a, h)
+    # Refining one record through the subgroup's table keeps the class.
+    i = data.draw(st.integers(0, len(a) - 1), label="refined record")
+    w, label = a[i]
+    refined = a[:i] + a[i + 1 :] + [(w * L, c) for L, c in h.refinement(label)]
+    assert _loop_class(refined, h) == _loop_class(a, h)
 
 
 def test_conjugacy_invariant_is_stable_under_conjugation(rng, group):
