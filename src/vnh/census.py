@@ -21,9 +21,8 @@ from .closed import closure_invariant, reduced_closure
 from .elements import (
     TreePairElement,
     _check_compatible,
-    compose,
-    invert,
-    reduce_element,
+    _compose_triples,
+    _reduce_triples,
     reduced_elements,
 )
 from .perms import Perm, Subgroup
@@ -108,11 +107,21 @@ def nonisomorphism_witness(n: int, m: int, ord_p: int, ord_q: int) -> int:
 def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     """Brute-force conjugacy witness search: the first reduced h with at
     most max_leaves leaves satisfying h^-1 f h = g, else None
-    (inconclusive -- the oracle is one-sided, silence is not a verdict)."""
+    (inconclusive -- the oracle is one-sided, silence is not a verdict).
+
+    The search runs in the triple view: g is reduced once, and for each
+    candidate h the triples of h^-1 f h are composed by merge and collapsed
+    without building a tree or an element; reduced triple sets are equal
+    exactly when the reduced elements' keys are."""
     _check_compatible(f, g)
-    target = reduce_element(g).key()
-    for h in reduced_elements(f.n, f.subgroup, max_leaves):
-        if reduce_element(compose(compose(invert(h), f), h)).key() == target:
+    n = f.n
+    target = _reduce_triples(n, g.triples())
+    f_triples = f.triples()
+    for h in reduced_elements(n, f.subgroup, max_leaves):
+        h_triples = h.triples()
+        h_inv = [(b, a, lab.inverse()) for a, b, lab in h_triples]
+        conj = _compose_triples(_compose_triples(h_inv, f_triples), h_triples)
+        if _reduce_triples(n, conj) == target:
             return h
     return None
 

@@ -13,9 +13,14 @@ and enumeration.
 
 Internally most arithmetic runs on the *triple view*: the sorted list of
 (domain leaf address, range leaf address, label) with one entry per leaf.
-Composition takes a common expansion of the middle trees and transports
-addresses through labels letter-wise; that letter-wise relabeling is what
-makes the pulled-back address sets valid trees again.
+Composition walks the range addresses of the first factor and the domain
+addresses of the second in step: both are complete prefix codes in
+lexicographic order, so one merge yields the leaves of their minimal common
+expansion, each with the two triples above it.  Addresses are transported
+through labels letter-wise; that letter-wise relabeling is what makes the
+pulled-back address sets valid trees again.  Elements, with their trees
+and validation, are built only for results: the oracle builds none for its
+intermediate products, and the enumeration none for unreduced candidates.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .perms import Perm, Subgroup, all_perms
 from .trees import (
     LEAF,
     all_trees,
-    common_expansion,
     leaf_addresses,
     leaf_count,
     locate,
@@ -146,26 +151,49 @@ def eval_prefix(g: TreePairElement, word):
     return g.range_addresses()[j - 1] + lab.act_word(suffix), lab
 
 
+def _compose_triples(g_triples, f_triples):
+    """Triples of g o f (f applied first) from the triples of g and f.
+
+    Sorted by range address, f's range leaves b and g's domain leaves c are
+    two complete prefix codes in lexicographic order, so walking them in step
+    pairs every leaf w of their minimal common expansion (the longer of b
+    and c) with the two triples above it.  The result is unsorted.
+    """
+    fs = sorted(f_triples, key=itemgetter(1))
+    gs = sorted(g_triples, key=itemgetter(0))
+    out = []
+    i = j = 0
+    while i < len(fs):
+        a, b, s = fs[i]
+        c, d, t = gs[j]
+        if len(b) >= len(c):
+            w = b
+            i += 1
+            if len(b) == len(c) or i == len(fs) or fs[i][1][: len(c)] != c:
+                j += 1
+        else:
+            w = c
+            j += 1
+            if j == len(gs) or gs[j][0][: len(b)] != b:
+                i += 1
+        x = w[len(b):]
+        y = w[len(c):]
+        out.append(
+            (
+                a + s.inverse().act_word(x) if x else a,
+                d + t.act_word(y) if y else d,
+                t * s,
+            )
+        )
+    return out
+
+
 def compose(g: TreePairElement, f: TreePairElement) -> TreePairElement:
-    """Representative of g o f (f applied first)."""
+    """Representative of g o f (f applied first), on the leaves of the
+    minimal common expansion of f's range tree and g's domain tree, found
+    by one merge of the two sorted address lists (see `_compose_triples`)."""
     _check_compatible(f, g)
-    mid, _, _ = common_expansion(f.range_tree, g.domain_tree, f.n)
-    f_ran = f.range_addresses()
-    f_dom = f.domain_addresses()
-    g_dom = g.domain_addresses()
-    g_ran = g.range_addresses()
-    f_tau_inv = {j: i for i, j in enumerate(f.tau, start=1)}
-    triples = []
-    for w in leaf_addresses(mid):
-        j, x = locate(f_ran, w)
-        lab_f = f.labels[j - 1]
-        a = f_dom[f_tau_inv[j] - 1] + lab_f.inverse().act_word(x)
-        m, y = locate(g_dom, w)
-        q = g.tau[m - 1]
-        lab_g = g.labels[q - 1]
-        b = g_ran[q - 1] + lab_g.act_word(y)
-        triples.append((a, b, lab_g * lab_f))
-    return element_from_triples(f.n, f.subgroup, triples)
+    return element_from_triples(f.n, f.subgroup, _compose_triples(g.triples(), f.triples()))
 
 
 def invert(g: TreePairElement) -> TreePairElement:
@@ -220,11 +248,18 @@ def _collapse_once(n, triple_by_dom):
     return False
 
 
+def _reduce_triples(n, triples):
+    """Fully collapsed {domain address: (range address, label)} of a
+    triple list: the triple view of the reduced representative."""
+    triple_by_dom = {a: (b, lab) for a, b, lab in triples}
+    while _collapse_once(n, triple_by_dom):
+        pass
+    return triple_by_dom
+
+
 def reduce_element(g: TreePairElement) -> TreePairElement:
     """Unique fully collapsed representative of the same homeomorphism."""
-    triple_by_dom = {a: (b, lab) for a, b, lab in g.triples()}
-    while _collapse_once(g.n, triple_by_dom):
-        pass
+    triple_by_dom = _reduce_triples(g.n, g.triples())
     triples = [(a, b, lab) for a, (b, lab) in triple_by_dom.items()]
     return element_from_triples(g.n, g.subgroup, triples)
 
@@ -284,18 +319,23 @@ def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):
     """All reduced elements with at most max_leaves leaves, deterministically.
 
     Each homeomorphism with a representative in range appears exactly once,
-    as its reduced tree pair.
+    as its reduced tree pair.  Leaf addresses are computed once per tree
+    shape, reduction is tested on the triple view, and only the reduced
+    candidates are built (and validated) as elements.
     """
     elems = sorted(subgroup.elements)
     k = 1
     while k <= max_leaves:
-        shapes = list(all_trees(n, k))
-        perms = all_perms(k)
-        for dom in shapes:
-            for ran in shapes:
+        shapes = [(t, leaf_addresses(t)) for t in all_trees(n, k)]
+        perms = [tau.images for tau in all_perms(k)]
+        for dom, dom_addrs in shapes:
+            for ran, ran_addrs in shapes:
                 for tau in perms:
+                    # Domain leaf i maps to range leaf tau[i-1]; the label
+                    # sits on the range leaf.
+                    pairs = [(dom_addrs[i], ran_addrs[j - 1], j - 1) for i, j in enumerate(tau)]
                     for labels in itertools.product(elems, repeat=k):
-                        g = TreePairElement(n, subgroup, dom, ran, tau.images, labels)
-                        if is_reduced(g):
-                            yield g
+                        triple_by_dom = {a: (b, labels[j]) for a, b, j in pairs}
+                        if not _collapse_once(n, triple_by_dom):
+                            yield TreePairElement(n, subgroup, dom, ran, tau, labels)
         k += n - 1

@@ -26,6 +26,15 @@ class Perm:
         object.__setattr__(self, "_hash", hash(images))
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Perm":
+        """Perm from a tuple already known to be a permutation (a product or
+        an inverse of Perms), without the check in ``__init__``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_hash", hash(images))
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Perm":
         return cls(range(1, n + 1))
 
@@ -38,15 +47,16 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # (self * other)(i) = self(other(i)): other acts first.
-        if self.n != other.n:
+        images = self.images
+        if len(images) != len(other.images):
             raise ValueError("arity mismatch")
-        return Perm(self.images[j - 1] for j in other.images)
+        return Perm._trusted(tuple([images[j - 1] for j in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.n
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images, start=1))

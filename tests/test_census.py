@@ -15,10 +15,12 @@ from vnh.elements import (
     TreePairElement,
     compose,
     equal_elements,
+    expand_representative,
     identity_element,
     invert,
     random_element,
     reduce_element,
+    reduced_elements,
 )
 from vnh.perms import Perm, Subgroup
 from vnh.trees import LEAF
@@ -121,6 +123,53 @@ def test_oracle_inconclusive_on_nonconjugates():
     ident = identity_element(2, h)
     swap = TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), (2, 1), (one, one))
     assert oracle_conjugate(ident, swap, 3) is None
+
+
+def _reference_oracle(f, g, max_leaves):
+    """The oracle loop on whole elements: compose, invert and reduce for
+    every candidate, compare keys.  A test oracle for `oracle_conjugate`."""
+    target = reduce_element(g).key()
+    for h in reduced_elements(f.n, f.subgroup, max_leaves):
+        if reduce_element(compose(compose(invert(h), f), h)).key() == target:
+            return h
+    return None
+
+
+def test_oracle_matches_element_level_reference(rng, group):
+    # f and g are passed unreduced (expanded once), so an oracle that
+    # compared against an unreduced target, or reduced only one side,
+    # would miss the planted witnesses.
+    n, h = group
+    bound = 4 if h.order == 1 else 3  # leaves; V2(Z2) has 9,600 candidates at 4
+    found = missed = 0
+    for planted in [True] * 4 + [False] * 4:
+        f = random_element(n, h, rng, max_carets=1)
+        if planted:
+            w = random_element(n, h, rng, max_carets=1)
+            g = compose(compose(invert(w), f), w)
+        else:
+            g = random_element(n, h, rng, max_carets=1)
+        f = expand_representative(f, rng.randrange(f.k) + 1)
+        g = expand_representative(g, rng.randrange(g.k) + 1)
+        got = oracle_conjugate(f, g, bound)
+        want = _reference_oracle(f, g, bound)
+        assert (got is None) == (want is None)
+        if want is None:
+            missed += 1
+        else:
+            assert got.key() == want.key()
+            found += 1
+        if planted:
+            assert got is not None
+    # The identity is conjugate only to itself.
+    ident = expand_representative(identity_element(n, h), 1)
+    caret = (LEAF,) * n
+    swap = TreePairElement(
+        n, h, caret, caret, (2, 1) + tuple(range(3, n + 1)), (Perm.identity(n),) * n
+    )
+    assert oracle_conjugate(ident, swap, bound) is None
+    assert _reference_oracle(ident, swap, bound) is None
+    assert found and missed
 
 
 def test_census_v2_id_p3():

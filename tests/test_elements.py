@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnh.elements import (
     ArityMismatch,
     TreePairElement,
     compose,
+    element_from_triples,
     element_order,
     equal_elements,
     eval_prefix,
@@ -17,8 +20,16 @@ from vnh.elements import (
     reduce_element,
     reduced_elements,
 )
-from vnh.perms import Perm, Subgroup
-from vnh.trees import LEAF, parse_tree
+from vnh.perms import Perm, Subgroup, all_perms
+from vnh.trees import (
+    LEAF,
+    all_trees,
+    common_expansion,
+    expand_leaf,
+    leaf_addresses,
+    locate,
+    parse_tree,
+)
 
 
 def caret_swap_v2(h=None):
@@ -238,3 +249,120 @@ def test_arity_mismatch_raises():
     g = identity_element(3, Subgroup.trivial(3))
     with pytest.raises(ArityMismatch):
         compose(f, g)
+
+
+def _reference_compose(g, f):
+    """g o f through the minimal common expansion tree and a `locate` of
+    each of its leaves in both address lists, independently of the merge in
+    `compose`.  A test oracle for `compose`."""
+    mid, _, _ = common_expansion(f.range_tree, g.domain_tree, f.n)
+    f_ran = f.range_addresses()
+    f_dom = f.domain_addresses()
+    g_dom = g.domain_addresses()
+    g_ran = g.range_addresses()
+    f_tau_inv = {j: i for i, j in enumerate(f.tau, start=1)}
+    triples = []
+    for w in leaf_addresses(mid):
+        j, x = locate(f_ran, w)
+        lab_f = f.labels[j - 1]
+        a = f_dom[f_tau_inv[j] - 1] + lab_f.inverse().act_word(x)
+        m, y = locate(g_dom, w)
+        q = g.tau[m - 1]
+        lab_g = g.labels[q - 1]
+        b = g_ran[q - 1] + lab_g.act_word(y)
+        triples.append((a, b, lab_g * lab_f))
+    return element_from_triples(f.n, f.subgroup, triples)
+
+
+COMPOSE_GROUPS = {
+    "V2(Id)": (2, Subgroup.trivial(2), 4),
+    "V2(Z2)": (2, Subgroup.symmetric(2), 4),
+    "V3(S3)": (3, Subgroup.symmetric(3), 3),
+    "V4(S4)": (4, Subgroup.symmetric(4), 2),
+}
+
+
+def _draw_tree(data, n, carets, base=LEAF):
+    tree = base
+    for _ in range(carets):
+        leaves = len(leaf_addresses(tree))
+        tree = expand_leaf(tree, data.draw(st.integers(1, leaves)), n)
+    return tree
+
+
+def _draw_element(data, n, h, dom, ran=None):
+    """Element on the given domain tree (and range tree, else a random one
+    with as many leaves), then passed through 0-2 `expand_representative`
+    steps, so that it is in general not reduced."""
+    k = len(leaf_addresses(dom))
+    if ran is None:
+        ran = _draw_tree(data, n, (k - 1) // (n - 1))
+    tau = tuple(data.draw(st.permutations(range(1, k + 1))))
+    labels = tuple(data.draw(st.lists(st.sampled_from(sorted(h.elements)), min_size=k, max_size=k)))
+    g = TreePairElement(n, h, dom, ran, tau, labels)
+    for _ in range(data.draw(st.integers(0, 2))):
+        g = expand_representative(g, data.draw(st.integers(1, g.k)))
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_GROUPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compose_matches_common_expansion_reference(name, data):
+    n, h, max_carets = COMPOSE_GROUPS[name]
+    # g's domain tree is independent of f's range tree, or refines it
+    # completely, or is completely refined by it.
+    shape = data.draw(st.sampled_from(["independent", "refines", "refined"]))
+    if shape == "refined":
+        g_dom = _draw_tree(data, n, data.draw(st.integers(0, max_carets)))
+        f_ran = _draw_tree(data, n, data.draw(st.integers(0, 2)), base=g_dom)
+        f_dom = _draw_tree(data, n, (len(leaf_addresses(f_ran)) - 1) // (n - 1))
+        f = _draw_element(data, n, h, f_dom, f_ran)
+    else:
+        f = _draw_element(data, n, h, _draw_tree(data, n, data.draw(st.integers(0, max_carets))))
+        if shape == "refines":
+            g_dom = _draw_tree(data, n, data.draw(st.integers(0, 2)), base=f.range_tree)
+        else:
+            g_dom = _draw_tree(data, n, data.draw(st.integers(0, max_carets)))
+    g = _draw_element(data, n, h, g_dom)
+    assert compose(g, f).key() == _reference_compose(g, f).key()
+    assert compose(f, g).key() == _reference_compose(f, g).key()
+
+
+def test_compose_single_leaf_operands(rng, group):
+    n, h = group
+    f = expand_representative(random_element(n, h, rng), 1)
+    singles = [TreePairElement(n, h, LEAF, LEAF, (1,), (lab,)) for lab in sorted(h.elements)]
+    for e in singles:
+        assert compose(e, f).key() == _reference_compose(e, f).key()
+        assert compose(f, e).key() == _reference_compose(f, e).key()
+        assert compose(e, e).key() == _reference_compose(e, e).key()
+
+
+def _reference_reduced_keys(n, h, max_leaves):
+    """Keys of every reduced tree pair with at most max_leaves leaves, by
+    brute force over trees, trees, permutations and label tuples."""
+    elems = sorted(h.elements)
+    keys = []
+    for k in range(1, max_leaves + 1, n - 1):
+        shapes = list(all_trees(n, k))
+        for dom in shapes:
+            for ran in shapes:
+                for tau in all_perms(k):
+                    for labels in itertools.product(elems, repeat=k):
+                        g = TreePairElement(n, h, dom, ran, tau.images, labels)
+                        if is_reduced(g):
+                            keys.append(g.key())
+    return keys
+
+
+@pytest.mark.parametrize(
+    "n,h,max_leaves",
+    [(2, Subgroup.trivial(2), 5), (2, Subgroup.symmetric(2), 4), (3, Subgroup.symmetric(3), 3)],
+    ids=["V2(Id)", "V2(Z2)", "V3(S3)"],
+)
+def test_reduced_elements_matches_brute_force_in_order(n, h, max_leaves):
+    # Census representatives and oracle witnesses are "first found", so the
+    # order matters as much as the set.
+    got = [g.key() for g in reduced_elements(n, h, max_leaves)]
+    assert got == _reference_reduced_keys(n, h, max_leaves)
