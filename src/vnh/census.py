@@ -9,18 +9,28 @@ and whether it is zero, and the total must be congruent to 1 without being
 zero.  For a cyclic group of prime order p the transitive space sizes are
 1 and p, and the solution count minus the trivial homomorphism is exactly
 n whenever p divides neither n-1 nor ord(P) — the engine computes it from
-the congruence, never from the closed form.
+the congruence, never from the closed form; its signatures are counted
+directly, never by enumerating tuples.
+
+The census runs on the triple view of tree-pair candidates, not on
+elements.  It keeps only the (domain, range) shape blocks with equal depth
+sums and skips every other block before its tau x labels candidates are
+formed (see `_zero_depth_shift` for what this leaves out).  Each remaining
+candidate gets the exact order test on its triples, and only order-p hits
+are tested for reduction; a `TreePairElement` is built, validated and
+closed only for a reduced order-p hit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .closed import closure_invariant, reduced_closure
 from .elements import (
     TreePairElement,
+    _candidates,
     _check_compatible,
+    _collapse_once,
     _compose_triples,
     _reduce_triples,
     reduced_elements,
@@ -49,22 +59,28 @@ def count_congruence_solutions(inst: CongruenceInstance, bound: int | None = Non
 
     Tuples (n_1, ..., n_t) with 0 <= n_i <= bound are classified by their
     (residue mod n-1, is-zero) signature; classes whose members satisfy the
-    congruence are counted once.  Any bound >= 2(n-1) realizes every class.
+    congruence are counted once.  Any bound >= 2(n-1) realizes every class,
+    and a smaller bound is raised to 2(n-1), so the count never depends on it.
+
+    The signatures are counted directly rather than enumerated through
+    tuples: per variable, zero or a nonzero residue r mod n-1.  Whether a
+    signature solves the congruence depends on its residues only, and the
+    total is zero exactly for the all-zero signature.
     """
     m = inst.n - 1
-    if bound is None:
-        bound = 2 * m * max(inst.sizes)
-    bound = max(bound, 2 * m)
-    classes = set()
-    per_var = range(bound + 1)
-    for tup in itertools.product(per_var, repeat=len(inst.sizes)):
-        total = sum(k * s for k, s in zip(tup, inst.sizes))
-        if total % m != 1 % m:
-            continue
-        if inst.starred and total == 0:
-            continue
-        classes.add(tuple((k % m, k == 0) for k in tup))
-    return len(classes)
+    # ways[x]: signatures of the variables so far whose total is x mod m.
+    ways = [1] + [0] * (m - 1)
+    for s in inst.sizes:
+        step = [0] * m
+        for x, w in enumerate(ways):
+            step[x] += w  # n_i = 0
+            for r in range(m):  # n_i nonzero, n_i = r mod m
+                step[(x + r * s) % m] += w
+        ways = step
+    count = ways[1 % m]
+    if inst.starred and 1 % m == 0:
+        count -= 1  # the all-zero signature solves it, but its total is 0
+    return count
 
 
 def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
@@ -126,60 +142,78 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     return None
 
 
-def _order_exactly(g: TreePairElement, p: int) -> bool:
-    """Exact test for order p, p prime: g != id and g^p = id.
+def _order_exactly(n, triple_by_dom, p) -> bool:
+    """Exact test for order p, p prime, on the triple view {domain address:
+    (range address, label)} of any representative, reduced or not: g != id
+    and g^p = id.
 
-    A vanishing total depth shift across strands is necessary for torsion
-    and rejects most elements immediately; the rest are decided by
-    iterating the prefix action p times on a padded probe below every
-    domain leaf: g^p is the identity iff each probe returns to itself with
-    identity residual tail action.
+    g^p is the identity iff the prefix action, iterated p times on a padded
+    probe below every domain leaf, returns each probe to itself with
+    identity residual tail action.  Order is a property of the
+    homeomorphism, so the verdict does not depend on the representative.
     """
-    triples = g.triples()
-    if sum(len(b) - len(a) for a, b, _ in triples) != 0:
-        return False
-    if all(a == b and lab.is_identity() for a, b, lab in triples):
+    if all(a == b and lab.is_identity() for a, (b, lab) in triple_by_dom.items()):
         return False  # identity
-    by_dom = {a: (b, lab) for a, b, lab in triples}
-    maxd = max(len(a) for a in by_dom)
-    pad = (1,) * ((p + 2) * maxd + 1)
-
-    def ev(word):
-        for cut in range(len(word) + 1):
-            hit = by_dom.get(word[:cut])
-            if hit is not None:
-                b, lab = hit
-                return b + lab.act_word(word[cut:]), lab
-        raise AssertionError("probe not deep enough")
-
-    ident = Perm.identity(g.n)
-    for a in by_dom:
-        probe = a + pad
-        w, tail = probe, ident
+    lengths = sorted(set(map(len, triple_by_dom)))
+    pad = (1,) * ((p + 2) * lengths[-1] + 1)
+    ident = Perm.identity(n)
+    for a in triple_by_dom:
+        probe = w = a + pad
+        tail = ident
         for _ in range(p):
-            w, lab = ev(w)
+            for cut in lengths:
+                hit = triple_by_dom.get(w[:cut])
+                if hit is not None:
+                    break
+            else:
+                raise AssertionError("probe not deep enough")
+            b, lab = hit
+            w = b + lab.act_word(w[cut:])
             tail = lab * tail
         if w != probe or not tail.is_identity():
             return False
     return True
 
 
+def _zero_depth_shift(dom_addrs, ran_addrs):
+    """True when the total depth shift sum(|range| - |domain|) over the
+    strands vanishes, which depends on the two tree shapes only.
+
+    The census keeps only these blocks, as the element-level order test it
+    replaced did.  This is a restriction, not a consequence of torsion:
+    (* (* (* (* *)))) -> (* ((* *) (* *))), tau = [2, 5, 3, 1, 4] is a
+    reduced element of order 3 in V2(Id) with unequal depth sums.
+    """
+    return sum(map(len, dom_addrs)) == sum(map(len, ran_addrs))
+
+
 def class_census_experiment(
     n: int, subgroup: Subgroup, p: int, max_leaves: int, report_lines=None
 ) -> int:
-    """Enumerate elements of order exactly p with at most max_leaves leaves,
-    bucket them by conjugacy invariant, and return the class count (at most
-    n, and equal to n once max_leaves realizes every class).  Also asserts
-    the reduced closure of every such element has no sigma-vertices, which
-    holds whenever p does not divide ord(H)."""
+    """Enumerate the reduced elements of order exactly p with at most
+    max_leaves leaves and equal domain and range depth sums (see
+    `_zero_depth_shift`), bucket them by conjugacy invariant, and return the
+    class count (at most n, and equal to n once max_leaves realizes every
+    class).  Also asserts the reduced closure of every such element has no
+    sigma-vertices, which holds whenever p does not divide ord(H).
+
+    Candidates are enumerated as triples in the order of `reduced_elements`,
+    so each class keeps the same first representative.  Shape blocks with
+    unequal depth sums are skipped whole, the order test runs on the triples
+    of every other candidate, and elements are built only for the reduced
+    order-p hits."""
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
     if subgroup.order % p == 0:
         raise ValueError(f"p = {p} divides ord(H) = {subgroup.order}")
     classes = {}  # conjugacy invariant -> first element of the class
-    for g in reduced_elements(n, subgroup, max_leaves):
-        if not _order_exactly(g, p):
+    candidates = _candidates(n, subgroup, max_leaves, keep_shapes=_zero_depth_shift)
+    for dom, ran, tau, labels, triple_by_dom in candidates:
+        # _collapse_once mutates the dict only when it finds a collapse, and
+        # an unreduced candidate is dropped.
+        if not _order_exactly(n, triple_by_dom, p) or _collapse_once(n, triple_by_dom):
             continue
+        g = TreePairElement(n, subgroup, dom, ran, tau, labels)
         cd = reduced_closure(g)
         if cd.has_graph_part() and cd.sigma_vertex_count() > 0:
             raise AssertionError(

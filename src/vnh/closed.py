@@ -198,14 +198,15 @@ def _extract_sigma_cycles(g):
             v = g.edges[eid][2]
             if v == start:
                 break
-        k = len(seq)
-        composites = []
-        for r in range(k):
-            comp_perm = Perm.identity(g.n)
-            for t in range(k):
-                comp_perm = seq[(r + t) % k] * comp_perm
-            composites.append(comp_perm)
-        label = min(composites)
+        # The composite read from rotation r is seq[r-1] ... seq[r+1] seq[r]
+        # (seq[r] acts first); rotation r+1 conjugates it by seq[r].
+        comp_perm = Perm.identity(g.n)
+        for lab in seq:
+            comp_perm = lab * comp_perm
+        label = comp_perm
+        for lab in seq[:-1]:
+            comp_perm = lab * comp_perm * lab.inverse()
+            label = min(label, comp_perm)
         for v in list(comp):
             eid = g.out_at[(v, 1)]
             g.del_edge(eid)

@@ -20,7 +20,8 @@ expansion, each with the two triples above it.  Addresses are transported
 through labels letter-wise; that letter-wise relabeling is what makes the
 pulled-back address sets valid trees again.  Elements, with their trees
 and validation, are built only for results: the oracle builds none for its
-intermediate products, and the enumeration none for unreduced candidates.
+intermediate products, the enumeration none for unreduced candidates, and
+the census none but its reduced order-p hits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .perms import Perm, Subgroup, all_perms
+from .perms import Perm, Subgroup
 from .trees import (
     LEAF,
     all_trees,
@@ -315,27 +316,40 @@ def random_element(
     return TreePairElement(n, subgroup, dom, ran, tuple(tau), labels)
 
 
-def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):
-    """All reduced elements with at most max_leaves leaves, deterministically.
+def _candidates(n: int, subgroup: Subgroup, max_leaves: int, keep_shapes=None):
+    """Every tree-pair candidate with at most max_leaves leaves, reduced or
+    not, as (dom, ran, tau, labels, {domain address: (range address, label)}).
 
-    Each homeomorphism with a representative in range appears exactly once,
-    as its reduced tree pair.  Leaf addresses are computed once per tree
-    shape, reduction is tested on the triple view, and only the reduced
-    candidates are built (and validated) as elements.
+    Candidates come in the enumeration order of `reduced_elements`.  Leaf
+    addresses are computed once per tree shape; `keep_shapes(dom addresses,
+    range addresses)`, when given, drops a whole (dom, ran) block before its
+    tau x labels candidates are formed.  Each candidate gets a fresh dict.
     """
     elems = sorted(subgroup.elements)
     k = 1
     while k <= max_leaves:
         shapes = [(t, leaf_addresses(t)) for t in all_trees(n, k)]
-        perms = [tau.images for tau in all_perms(k)]
         for dom, dom_addrs in shapes:
             for ran, ran_addrs in shapes:
-                for tau in perms:
+                if keep_shapes is not None and not keep_shapes(dom_addrs, ran_addrs):
+                    continue
+                for tau in itertools.permutations(range(1, k + 1)):
                     # Domain leaf i maps to range leaf tau[i-1]; the label
                     # sits on the range leaf.
                     pairs = [(dom_addrs[i], ran_addrs[j - 1], j - 1) for i, j in enumerate(tau)]
                     for labels in itertools.product(elems, repeat=k):
-                        triple_by_dom = {a: (b, labels[j]) for a, b, j in pairs}
-                        if not _collapse_once(n, triple_by_dom):
-                            yield TreePairElement(n, subgroup, dom, ran, tau, labels)
+                        yield dom, ran, tau, labels, {a: (b, labels[j]) for a, b, j in pairs}
         k += n - 1
+
+
+def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):
+    """All reduced elements with at most max_leaves leaves, deterministically.
+
+    Each homeomorphism with a representative in range appears exactly once,
+    as its reduced tree pair.  Reduction is tested on the triple view of each
+    candidate (see `_candidates`), and only the reduced candidates are built
+    (and validated) as elements.
+    """
+    for dom, ran, tau, labels, triple_by_dom in _candidates(n, subgroup, max_leaves):
+        if not _collapse_once(n, triple_by_dom):
+            yield TreePairElement(n, subgroup, dom, ran, tau, labels)

@@ -36,7 +36,7 @@ class Perm:
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:

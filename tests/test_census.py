@@ -1,29 +1,36 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vnh.census
 from vnh.census import (
     CongruenceInstance,
+    _order_exactly,
     class_census_experiment,
     count_congruence_solutions,
     count_order_p_classes,
     nonisomorphism_witness,
     oracle_conjugate,
 )
-from vnh.closed import are_conjugate
+from vnh.closed import are_conjugate, closure_invariant, reduced_closure
 from vnh.elements import (
     TreePairElement,
     compose,
+    element_order,
     equal_elements,
     expand_representative,
     identity_element,
     invert,
+    is_reduced,
     random_element,
     reduce_element,
     reduced_elements,
 )
+from vnh.io import element_to_json
 from vnh.perms import Perm, Subgroup
-from vnh.trees import LEAF
+from vnh.trees import LEAF, parse_tree, random_tree
 
 
 def brute_force_classes(inst, bound):
@@ -188,3 +195,146 @@ def test_census_monotone_in_leaves():
     counts = [class_census_experiment(2, h, 3, k) for k in (3, 4, 5)]
     assert counts == sorted(counts)
     assert counts[-1] == 2
+
+
+ORDER_GROUPS = {
+    "V2(Id)": (2, Subgroup.trivial(2)),
+    "V2(Z2)": (2, Subgroup.symmetric(2)),
+    "V3(S3)": (3, Subgroup.symmetric(3)),
+    "V4(S4)": (4, Subgroup.symmetric(4)),
+}
+
+
+def _torsion_biased_element(n, h, rng):
+    """A random element or, half the time, a random conjugate of a leaf
+    permutation of one tree made of q-cycles, q in {2, 3, 5}, with identity
+    or mostly identity labels: those often have order 2, 3 or 5."""
+    if rng.random() < 0.5:
+        return random_element(n, h, rng, max_carets=2)
+    leaves = 1 + rng.randrange(1, 6) * (n - 1)
+    tree = random_tree(n, leaves, rng)
+    q = rng.choice([2, 3, 5])
+    tau = list(range(1, leaves + 1))
+    points = rng.sample(range(leaves), leaves)
+    for c in range(rng.randrange(leaves // q + 1)):
+        cycle = points[c * q : (c + 1) * q]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            tau[x] = y + 1
+    one = Perm.identity(n)
+    elems = sorted(h.elements)
+    mix = rng.choice([0, 0.3])
+    labels = tuple(rng.choice(elems) if rng.random() < mix else one for _ in range(leaves))
+    g = TreePairElement(n, h, tree, tree, tuple(tau), labels)
+    w = random_element(n, h, rng, max_carets=1)
+    return compose(compose(invert(w), g), w)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_GROUPS))
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_triple_order_test_matches_element_order(name, rng):
+    n, h = ORDER_GROUPS[name]
+    g = _torsion_biased_element(n, h, rng)
+    for e in (g, expand_representative(g, rng.randrange(g.k) + 1)):
+        triple_by_dom = {a: (b, lab) for a, b, lab in e.triples()}
+        for p in (2, 3, 5):
+            assert _order_exactly(n, triple_by_dom, p) == (element_order(e, p) == p)
+
+
+def _reference_order_exactly(g, p):
+    """Element-level order test: zero total depth shift, not the identity,
+    and a padded probe below every domain leaf returns to itself after p
+    steps with identity residual tail action."""
+    triples = g.triples()
+    if sum(len(b) - len(a) for a, b, _ in triples) != 0:
+        return False
+    if all(a == b and lab.is_identity() for a, b, lab in triples):
+        return False
+    by_dom = {a: (b, lab) for a, b, lab in triples}
+    pad = (1,) * ((p + 2) * max(len(a) for a in by_dom) + 1)
+
+    def ev(word):
+        for cut in range(len(word) + 1):
+            hit = by_dom.get(word[:cut])
+            if hit is not None:
+                b, lab = hit
+                return b + lab.act_word(word[cut:]), lab
+        raise AssertionError("probe not deep enough")
+
+    for a in by_dom:
+        w, tail = a + pad, Perm.identity(g.n)
+        for _ in range(p):
+            w, lab = ev(w)
+            tail = lab * tail
+        if w != a + pad or not tail.is_identity():
+            return False
+    return True
+
+
+def _reference_census(n, h, p, max_leaves):
+    """The census loop on whole elements: every reduced element is built and
+    tested for order p, and each hit is bucketed by closure invariant.
+    Returns the report lines and the keys of the hits.  A test oracle for
+    `class_census_experiment`."""
+    classes = {}
+    hits = []
+    for g in reduced_elements(n, h, max_leaves):
+        if not _reference_order_exactly(g, p):
+            continue
+        hits.append(g.key())
+        cd = reduced_closure(g)
+        assert not (cd.has_graph_part() and cd.sigma_vertex_count() > 0)
+        classes.setdefault(closure_invariant(cd, h), g)
+    lines = [
+        f"class {k}: representative = {element_to_json(rep)}"
+        for k, rep in enumerate(classes.values(), start=1)
+    ]
+    lines.append(f"classes={len(classes)} expected={n}")
+    return lines, hits
+
+
+@pytest.mark.parametrize(
+    "n,h,p,max_leaves",
+    [
+        (2, Subgroup.trivial(2), 2, 5),
+        (2, Subgroup.trivial(2), 3, 5),
+        (2, Subgroup.symmetric(2), 3, 4),
+        (3, Subgroup.trivial(3), 5, 5),
+        (4, Subgroup.trivial(4), 2, 4),
+    ],
+    ids=["V2(Id)-p2", "V2(Id)-p3", "V2(Z2)-p3", "V3(Id)-p5", "V4(Id)-p2"],
+)
+def test_census_matches_element_level_reference(monkeypatch, n, h, p, max_leaves):
+    # The census builds an element, and takes its closure, only for reduced
+    # order-p candidates: record the elements it closes.
+    closed = []
+
+    def recording_closure(g):
+        closed.append(g.key())
+        return reduced_closure(g)
+
+    monkeypatch.setattr(vnh.census, "reduced_closure", recording_closure)
+    for leaves in range(1, max_leaves + 1, n - 1):
+        lines, hits = _reference_census(n, h, p, leaves)
+        got = []
+        closed.clear()
+        assert class_census_experiment(n, h, p, leaves, got) == len(lines) - 1
+        assert got == lines
+        assert closed == hits
+
+
+def test_depth_filter_skips_torsion_but_no_census_line(monkeypatch):
+    # The census keeps only shape blocks with equal depth sums.  Torsion does
+    # not imply that: this reduced order-3 element has depth sums 14 and 13.
+    h = Subgroup.trivial(2)
+    dom = parse_tree("(* (* (* (* *))))", 2)
+    ran = parse_tree("(* ((* *) (* *)))", 2)
+    g = TreePairElement(2, h, dom, ran, (2, 5, 3, 1, 4), (Perm.identity(2),) * 5)
+    assert is_reduced(g) and element_order(g, 3) == 3
+    assert not vnh.census._zero_depth_shift(g.domain_addresses(), g.range_addresses())
+    # Yet enumerating every block changes no line of this census.
+    kept, every = [], []
+    class_census_experiment(2, h, 3, 5, kept)
+    monkeypatch.setattr(vnh.census, "_zero_depth_shift", lambda dom_addrs, ran_addrs: True)
+    class_census_experiment(2, h, 3, 5, every)
+    assert every == kept

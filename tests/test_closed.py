@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vnh.closed import (
     ClosedDiagram,
     FreeLoop,
+    _extract_sigma_cycles,
     _loop_class,
     add_coboundary,
     are_conjugate,
@@ -22,7 +23,9 @@ from vnh.closed import (
     torsion_order,
 )
 from vnh.diagrams import (
+    SIGMA,
     DiagramError,
+    _Graph,
     build_diagram,
     identity_diagram,
 )
@@ -481,3 +484,27 @@ def test_conjugacy_invariant_is_stable_under_conjugation(rng, group):
         f = random_element(n, h, rng)
         w = random_element(n, h, rng)
         assert conjugacy_invariant(f) == conjugacy_invariant(conj(w, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sigma_cycle_label_is_least_rotation_composite(data):
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    labels = [p for p in sorted(Subgroup.symmetric(n).elements) if not p.is_identity()]
+    seq = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6))
+    weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(seq), max_size=len(seq)))
+    g = _Graph(n)
+    cycle = [g.new_vertex(SIGMA, lab) for lab in seq]
+    for i, v in enumerate(cycle):
+        g.add_edge(v, 1, cycle[(i + 1) % len(cycle)], 0, weights[i])
+    _extract_sigma_cycles(g)
+    # The composite read from rotation r applies seq[r] first, each with a
+    # full product.
+    composites = []
+    for r in range(len(seq)):
+        comp = Perm.identity(n)
+        for lab in seq[r:] + seq[:r]:
+            comp = lab * comp
+        composites.append(comp)
+    assert g.free_loops == [(sum(weights), min(composites))]
+    assert not g.kind and not g.edges
