@@ -25,7 +25,7 @@ from .closed import (
 from .diagrams import build_diagram
 from .elements import compose, element_order, invert, reduce_element
 from .io import element_from_json, element_to_json, subgroup_from_spec
-from .rewriting import CochainError, RewriteCycleError, format_trace, reduce
+from .rewriting import CochainError, format_trace, reduce
 
 
 class _InputError(Exception):
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RewriteCycleError, CochainError, AssertionError) as exc:
+    except (CochainError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
 

@@ -12,8 +12,10 @@ vertex twists over H and coboundaries below, so reduced closures are
 compared with `conjugating_equivalent` or `gauge_canonical`.
 
 Components without splits and merges are free loops.  A vertex-free cycle
-is stored as a FreeLoop record the moment it appears; reduction composes
-any remaining sigma-cycle down to a single label per loop.  Two reduced
+is stored as a FreeLoop record the moment it appears; reduction applies
+type I-III to exhaustion and composes any remaining sigma-cycle down to a
+single label per loop.  Type IV is not a reduction here: on a closed
+diagram it is a vertex twist, one of the gauge moves below.  Two reduced
 closed diagrams decide conjugacy in V_n(H) by matching up to the moves
 conjugation can perform:
 
@@ -117,14 +119,9 @@ class ClosedDiagram:
     def sigma_vertex_count(self):
         return self.counts()[SIGMA]
 
-    def graph_canonical(self):
-        self.canonical()
-        return self._graph_canon
-
     def canonical(self):
         if self._canon is None:
             s, order = self._g.closed_canonical()
-            self._graph_canon = s.split("||")[0]
             self._order = order
             self._canon = s
         return self._canon
@@ -215,12 +212,16 @@ def _extract_sigma_cycles(g):
 
 
 def reduce_closed(cd: ClosedDiagram, *, rng=None, trace=None) -> ClosedDiagram:
-    """Reduced form: no type I-III redex remains, no type IV path leads to
-    one, and every free loop is a record with a single composite label.
+    """Reduced form: no type I-III redex remains, and every free loop is a
+    record with a single composite label.  Type IV is not applied: on a
+    closed diagram it is a vertex twist over H, and twists neither enable
+    an I/II collapse nor survive `gauge_canonical`.
 
     The result depends on the rewrite schedule (`rng`): it is unique only up
     to vertex twists over H and coboundary, so compare reduced closures with
-    `conjugating_equivalent` or `gauge_canonical`, not with `==`.
+    `conjugating_equivalent` or `gauge_canonical`, not with `==`.  The
+    winding check of the `ClosedDiagram` constructor runs once, on the
+    result.
     """
     g = cd._g.copy()
     _reduce_graph(g, rng=rng, trace=trace)
@@ -421,25 +422,12 @@ def _echelon(rows, width):
     return basis
 
 
-def conjugating_equivalent(
-    c1: ClosedDiagram, c2: ClosedDiagram, subgroup: Subgroup, label_mode="conjugacy"
-) -> bool:
-    """Equality up to conjugating transformations: graph parts equal, free
-    loops matched under the loop moves (see module docstring).
-
-    label_mode="exact" is the stricter comparison-mode switch: records must
-    match verbatim, loops are not refined or relabelled.
-    """
+def conjugating_equivalent(c1: ClosedDiagram, c2: ClosedDiagram, subgroup: Subgroup) -> bool:
+    """Equality up to conjugating transformations: graph parts equal up to
+    vertex twists over H and coboundary, free loops matched under the loop
+    moves (see module docstring).  `closed_equal` is the exact comparison."""
     if c1.n != c2.n:
         return False
-    r1 = [(fl.winding, fl.label) for fl in c1.free_loops]
-    r2 = [(fl.winding, fl.label) for fl in c2.free_loops]
-    if label_mode == "exact":
-        return c1.graph_canonical() == c2.graph_canonical() and sorted(
-            r1, key=_loop_token
-        ) == sorted(r2, key=_loop_token)
-    if label_mode != "conjugacy":
-        raise ValueError(f"unknown label_mode {label_mode!r}")
     return closure_invariant(c1, subgroup) == closure_invariant(c2, subgroup)
 
 

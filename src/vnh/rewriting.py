@@ -21,16 +21,14 @@ rules I and II.
 
 `reduce` and `closed.reduce_closed` run one driver, `_reduce_graph`.  It
 picks redexes by the plain key (rule priority, anchor ids), or at random
-when given an `rng`, and never serializes a diagram: states are keyed
-exactly by `_state_key`.  Open diagrams reduce to a unique form whatever
-the order (local confluence).  Closed diagrams reduce to a form unique only
-up to vertex twists over H and coboundary; `closed.gauge_canonical`
-compares them.
+when given an `rng`, and never serializes a diagram.  Open diagrams reduce
+by I-IV to a unique form whatever the order (local confluence).  Closed
+diagrams reduce by I-III to a form unique only up to vertex twists over H
+and coboundary; `closed.gauge_canonical` compares them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .diagrams import MERGE, SIGMA, SPLIT, TEMP, StrandDiagram
@@ -43,15 +41,6 @@ class StaleRedexError(ValueError):
 
 class CochainError(RuntimeError):
     """Winding cochain corruption: unequal parallel paths or a nonpositive loop."""
-
-
-class RewriteCycleError(RuntimeError):
-    def __init__(self, trace):
-        super().__init__(
-            "reduction revisited a diagram; trace: "
-            + " ".join(f"{rule}{list(anchors)}" for rule, anchors in trace)
-        )
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -376,9 +365,6 @@ def apply_reduction(d, redex: Redex):
     """Apply one redex, returning a new diagram of the same kind."""
     g = d._g.copy()
     _apply(g, redex)
-    closed = not g.sources and not g.sinks
-    if closed and not g.positive_on_loops():
-        raise CochainError("reduction produced a nonpositive loop winding")
     return type(d)(g)
 
 
@@ -460,9 +446,6 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
             g.del_vertex(v)
     else:
         raise ValueError("rule/anchor combination not supported")
-    closed = not g.sources and not g.sinks
-    if closed and not g.positive_on_loops():
-        raise CochainError("inverse produced a nonpositive loop winding")
     return type(d)(g)
 
 
@@ -471,118 +454,37 @@ def _order(redexes):
     return sorted(redexes, key=lambda r: (_PRIORITY[r.rule], r.anchors))
 
 
-def _step(g, redex, trace, closed):
-    _apply(g, redex)
-    trace.append((redex.rule, redex.anchors))
-    if closed and not g.positive_on_loops():
-        raise CochainError("reduction produced a nonpositive loop winding")
-
-
-def _state_key(g):
-    """Exact hashable state of g, independent of sigma-vertex ids.
-
-    Forward moves never create split, merge, source or sink vertices and ids
-    are never reused, so those vertices keep their ids.  Each path from one
-    of their out-ports to the next such vertex is recorded by its two ends
-    and the sequence of edge weights and sigma labels along it; sigma-only
-    cycles (by their least rotation) and free-loop records are multisets.
-    """
-    paths = set()
-    on_path = set()
-    for (v, p), eid in g.out_at.items():
-        if g.kind[v] == SIGMA:
-            continue
-        seq = []
-        while True:
-            _, _, head, hport, w = g.edges[eid]
-            seq.append(w)
-            if g.kind[head] != SIGMA:
-                break
-            on_path.add(head)
-            seq.append(g.label[head].images)
-            eid = g.out_at[(head, 1)]
-        paths.add((v, p, head, hport, tuple(seq)))
-    cycles = []
-    for v, kind in g.kind.items():
-        if kind != SIGMA or v in on_path:
-            continue
-        cycle, u = [], v
-        while u not in on_path:
-            on_path.add(u)
-            eid = g.out_at[(u, 1)]
-            cycle.append((g.label[u].images, g.edges[eid][4]))
-            u = g.edges[eid][2]
-        cycles.append(min(tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))))
-    loops = sorted((w, lab.images) for w, lab in g.free_loops)
-    return frozenset(paths), tuple(sorted(cycles)), tuple(loops)
-
-
 def _reduce_graph(g, *, rng=None, trace=None):
-    """Exhaust all graph-level redexes of g in place; returns the trace list.
+    """Exhaust the graph-level redexes of g in place; returns the trace list.
 
-    Redexes are taken in `_order`, or picked by `rng` when given.  Open
-    graphs (with main sources and sinks) terminate outright: type IV pushes
-    sigma-vertices monotonically through the acyclic skeleton.  Closed
-    graphs can cycle under type IV, a sigma-vertex pushed around a directed
-    cycle of merges or splits returning to its starting edge; there the
-    driver applies I-III only, and when none is left `_plateau` looks for a
-    type IV path to an I/II collapse.  The split+merge count drops with each
-    collapse, so this loops finitely.  A revisited state (by `_state_key`)
-    raises RewriteCycleError instead of hanging.
+    Redexes are taken in `_order`, or picked by `rng` when given.  Closed
+    graphs (no main sources or sinks) reduce by I-III to exhaustion.  Every
+    I or II step lowers the split+merge count, and every III step lowers the
+    sigma count at an equal split+merge count, so the pair (splits+merges,
+    sigmas) falls strictly in lexicographic order.  Type IV is left out
+    there: on a closed graph it is a vertex twist over H, which
+    `closed.gauge_canonical` quotients out, and twists cannot expose an I
+    or II collapse.  Open graphs reduce by I-IV.  A sigma pushed up through
+    a merge lands on a path that ends in a merge, and a sigma pushed down
+    through a split on a path that starts at a split, so between two I/II
+    steps no sigma reverses direction in the acyclic skeleton.
 
     The result is reduced but depends on the schedule: for closed graphs it
-    is unique only up to vertex twists over H and coboundary.
+    is unique only up to vertex twists over H and coboundary.  Winding is
+    not checked per step: I-III sum weights along the paths they replace,
+    and `ClosedDiagram` checks each result once.
     """
     if trace is None:
         trace = []
     closed = not g.sources and not g.sinks
-    seen = set()
     while True:
-        redexes = _find(g)
-        if closed:
-            redexes = [r for r in redexes if r.rule != "IV"]
-            if not redexes and _plateau(g, trace):
-                continue
+        redexes = [r for r in _find(g) if not (closed and r.rule == "IV")]
         if not redexes:
             return trace
         redexes = _order(redexes)
-        _step(g, redexes[0] if rng is None else rng.choice(redexes), trace, closed)
-        key = _state_key(g)
-        if key in seen:
-            raise RewriteCycleError(trace)
-        seen.add(key)
-
-
-def _plateau(g, trace):
-    """Breadth-first search of g's type IV plateau for an I/II collapse.
-
-    A plateau move is one type IV followed by type III until an I/II redex
-    appears or none is left (III never destroys an I/II redex).  If some
-    reachable state enables a type I or II redex, g becomes that state, the
-    moves to it are appended to trace, and the result is True.  Otherwise g
-    is unchanged and reduced, and the result is False.
-    """
-    seen = {_state_key(g)}
-    queue = deque([(g, [])])
-    while queue:
-        state, moves = queue.popleft()
-        for redex in _order(r for r in _find(state) if r.rule == "IV"):
-            nxt, path = state.copy(), list(moves)
-            _step(nxt, redex, path, closed=True)
-            while True:
-                rest = _order(r for r in _find(nxt) if r.rule != "IV")
-                if not rest:
-                    break
-                if not rest[0].rule.startswith("III"):
-                    vars(g).update(vars(nxt))
-                    trace.extend(path)
-                    return True
-                _step(nxt, rest[0], path, closed=True)
-            key = _state_key(nxt)
-            if key not in seen:
-                seen.add(key)
-                queue.append((nxt, path))
-    return False
+        redex = redexes[0] if rng is None else rng.choice(redexes)
+        _apply(g, redex)
+        trace.append((redex.rule, redex.anchors))
 
 
 def reduce(d: StrandDiagram, *, rng=None, trace=None) -> StrandDiagram:

@@ -8,6 +8,7 @@ from vnh.cli import main
 from vnh.io import element_from_json, element_to_json
 from vnh.elements import compose, equal_elements, identity_element, invert, reduce_element
 from vnh.perms import Subgroup
+from vnh.rewriting import CochainError
 
 IDENT = '{"n": 2, "H": [], "domain": "*", "range": "*", "tau": [1], "labels": [[1, 2]]}'
 SWAP = '{"n": 2, "H": [], "domain": "(* *)", "range": "(* *)", "tau": [2, 1], "labels": [[1, 2], [1, 2]]}'
@@ -119,6 +120,16 @@ def test_close_dot_and_trace(files, capsys):
     out = capsys.readouterr().out
     assert "digraph strand" in out
     assert "winding=2" in out
+
+
+def test_cochain_error_exits_4(files, capsys, monkeypatch):
+    def corrupt(*_args, **_kwargs):
+        raise CochainError("winding must be positive on every oriented loop")
+
+    monkeypatch.setattr("vnh.cli.reduce_closed", corrupt)
+    assert main(["close", files["swap"]]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: winding must be positive")
 
 
 def test_order_and_torsion(files, capsys):

@@ -34,6 +34,7 @@ from vnh.elements import (
     TreePairElement,
     compose,
     element_order,
+    expand_representative,
     identity_element,
     invert,
     random_element,
@@ -45,6 +46,15 @@ from vnh.trees import LEAF
 
 def conj(h, f):
     return compose(compose(h, f), invert(h))
+
+
+# (n, H, max_carets): the groups and sizes of the closed-layer properties.
+CLOSURE_GROUPS = {
+    "V2(Id)": (2, Subgroup.trivial(2), 3),
+    "V2(Z2)": (2, Subgroup.symmetric(2), 3),
+    "V3(S3)": (3, Subgroup.symmetric(3), 3),
+    "V4(S4)": (4, Subgroup.symmetric(4), 2),
+}
 
 
 def global_swap():
@@ -154,7 +164,6 @@ def test_conjugating_equivalent_two_factor_loop():
     b = ClosedDiagram.from_loops(3, [(1, s1 * s2)])
     assert not closed_equal(a, b)
     assert conjugating_equivalent(a, b, h)
-    assert conjugating_equivalent(a, b, h, label_mode="exact") is False
 
 
 def test_conjugating_equivalent_id_vs_nonid():
@@ -313,11 +322,15 @@ def test_torsion_order_matches_element_order(rng, group):
     assert checked > 3
 
 
-def test_reduce_closed_idempotent(rng, group):
-    n, h = group
-    for _ in range(10):
-        cd = reduce_closed(close(build_diagram(random_element(n, h, rng))))
-        assert closed_equal(reduce_closed(cd), cd)
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+@settings(max_examples=500, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_reduce_closed_idempotent(name, rng):
+    n, h, max_carets = CLOSURE_GROUPS[name]
+    cd = close(build_diagram(random_element(n, h, rng, max_carets=max_carets)))
+    cd = reduce_closed(cd, rng=random.Random(rng.random()))
+    assert closed_equal(reduce_closed(cd), cd)
+    assert closed_equal(reduce_closed(cd, rng=random.Random(rng.random())), cd)
 
 
 def test_reduce_closed_unique_up_to_gauge_on_schedule_counterexample():
@@ -333,14 +346,21 @@ def test_reduce_closed_unique_up_to_gauge_on_schedule_counterexample():
         assert closure_invariant(reduce_closed(cd, rng=random.Random(k)), h) == expected
 
 
-def test_reduce_closed_unique_up_to_gauge_under_random_schedules(rng, group):
-    n, h = group
-    for _ in range(10):
-        cd = close(build_diagram(random_element(n, h, rng)))
-        expected = closure_invariant(reduce_closed(cd), h)
-        for _ in range(3):
-            reduced = reduce_closed(cd, rng=random.Random(rng.random()))
-            assert closure_invariant(reduced, h) == expected
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+@settings(max_examples=500, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_reduce_closed_unique_up_to_gauge_under_random_schedules(name, rng):
+    # The invariant depends neither on the rewrite schedule nor on the
+    # representative: re-encodings by `expand_representative` agree.
+    n, h, max_carets = CLOSURE_GROUPS[name]
+    encodings = [random_element(n, h, rng, max_carets=max_carets)]
+    for _ in range(2):
+        g = encodings[-1]
+        encodings.append(expand_representative(g, rng.randrange(g.k) + 1))
+    expected = closure_invariant(reduce_closed(close(build_diagram(encodings[0]))), h)
+    for g in encodings:
+        reduced = reduce_closed(close(build_diagram(g)), rng=random.Random(rng.random()))
+        assert closure_invariant(reduced, h) == expected
 
 
 def test_loop_class_needs_no_search_bound_on_v4_s4():
@@ -478,12 +498,14 @@ def test_loop_class_matches_bfs_normal_form(name, data):
     assert _loop_class(refined, h) == _loop_class(a, h)
 
 
-def test_conjugacy_invariant_is_stable_under_conjugation(rng, group):
-    n, h = group
-    for _ in range(10):
-        f = random_element(n, h, rng)
-        w = random_element(n, h, rng)
-        assert conjugacy_invariant(f) == conjugacy_invariant(conj(w, f))
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+@settings(max_examples=500, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_conjugacy_invariant_is_stable_under_conjugation(name, rng):
+    n, h, max_carets = CLOSURE_GROUPS[name]
+    f = random_element(n, h, rng, max_carets=max_carets)
+    w = random_element(n, h, rng, max_carets=max_carets)
+    assert conjugacy_invariant(f) == conjugacy_invariant(conj(w, f))
 
 
 @settings(max_examples=200, deadline=None)

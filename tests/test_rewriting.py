@@ -1,7 +1,11 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tests.test_closed import CLOSURE_GROUPS
 from vnh.closed import ClosedDiagram, close, reduce_closed
 from vnh.diagrams import (
     MERGE,
@@ -24,8 +28,13 @@ from vnh.elements import (
 )
 from vnh.perms import Perm, Subgroup
 from vnh.rewriting import (
+    CochainError,
     Redex,
     StaleRedexError,
+    _apply,
+    _find,
+    _order,
+    _reduce_graph,
     apply_inverse,
     apply_reduction,
     find_redexes,
@@ -172,10 +181,17 @@ def test_reduction_never_serializes(monkeypatch, rng, group):
 
 def test_measure_monotonicity(rng, group):
     # I and II strictly decrease splits+merges; III decreases sigma count;
-    # IV preserves splits+merges.
+    # IV preserves splits+merges.  Closed reduction never applies IV, so
+    # (splits+merges, sigmas) falls strictly with every step it takes.
     n, h = group
-    for _ in range(20):
-        d = random_open_diagram(n, h, rng)
+    opens = [random_open_diagram(n, h, rng) for _ in range(20)]
+    closures = [close(build_diagram(random_element(n, h, rng))) for _ in range(20)]
+    for cd in closures:
+        for _ in range(3):
+            trace = []
+            reduce_closed(cd, rng=random.Random(rng.random()), trace=trace)
+            assert all(rule != "IV" for rule, _ in trace)
+    for d in opens + closures:
         for r in find_redexes(d):
             before = d.counts()
             after = apply_reduction(d, r).counts()
@@ -415,3 +431,114 @@ def test_confluence_case_4_III_vs_III():
     sig = [v for v, k in out[0]._g.kind.items() if k == SIGMA]
     assert len(sig) == 1
     assert out[0]._g.label[sig[0]] == s3 * s2 * s1
+
+
+def test_zero_winding_cycle_raises_cochain_error():
+    # A split/merge cycle of total winding 0 is not a closed diagram, and a
+    # reduction of such a graph fails when its result is built.
+    with pytest.raises(CochainError):
+        theta_graph(2, loop_weight=0)
+    d = theta_graph(2)
+    (r,) = [x for x in find_redexes(d) if x.rule == "II-identity"]
+    for rec in d._g.edges.values():
+        rec[4] = 0
+    with pytest.raises(CochainError):
+        apply_reduction(d, r)
+
+
+# -- the type IV plateau: no I/II collapse past I-III exhaustion -------------
+
+
+def _reference_step(g, redex, trace, closed):
+    _apply(g, redex)
+    trace.append((redex.rule, redex.anchors))
+    if closed and not g.positive_on_loops():
+        raise CochainError("reduction produced a nonpositive loop winding")
+
+
+def _reference_state_key(g):
+    """Exact hashable state of g, independent of sigma-vertex ids.
+
+    Forward moves never create split, merge, source or sink vertices and ids
+    are never reused, so those vertices keep their ids.  Each path from one
+    of their out-ports to the next such vertex is recorded by its two ends
+    and the sequence of edge weights and sigma labels along it; sigma-only
+    cycles (by their least rotation) and free-loop records are multisets.
+    """
+    paths = set()
+    on_path = set()
+    for (v, p), eid in g.out_at.items():
+        if g.kind[v] == SIGMA:
+            continue
+        seq = []
+        while True:
+            _, _, head, hport, w = g.edges[eid]
+            seq.append(w)
+            if g.kind[head] != SIGMA:
+                break
+            on_path.add(head)
+            seq.append(g.label[head].images)
+            eid = g.out_at[(head, 1)]
+        paths.add((v, p, head, hport, tuple(seq)))
+    cycles = []
+    for v, kind in g.kind.items():
+        if kind != SIGMA or v in on_path:
+            continue
+        cycle, u = [], v
+        while u not in on_path:
+            on_path.add(u)
+            eid = g.out_at[(u, 1)]
+            cycle.append((g.label[u].images, g.edges[eid][4]))
+            u = g.edges[eid][2]
+        cycles.append(min(tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))))
+    loops = sorted((w, lab.images) for w, lab in g.free_loops)
+    return frozenset(paths), tuple(sorted(cycles)), tuple(loops)
+
+
+def _reference_plateau(g, trace):
+    """Breadth-first search of g's type IV plateau for an I/II collapse.
+
+    A plateau move is one type IV followed by type III until an I/II redex
+    appears or none is left (III never destroys an I/II redex).  If some
+    reachable state enables a type I or II redex, g becomes that state, the
+    moves to it are appended to trace, and the result is True.  Otherwise g
+    is unchanged and reduced, and the result is False.  The search closed
+    reduction once ran after I-III; a test oracle for its deletion.
+    """
+    seen = {_reference_state_key(g)}
+    queue = deque([(g, [])])
+    while queue:
+        state, moves = queue.popleft()
+        for redex in _order(r for r in _find(state) if r.rule == "IV"):
+            nxt, path = state.copy(), list(moves)
+            _reference_step(nxt, redex, path, closed=True)
+            while True:
+                rest = _order(r for r in _find(nxt) if r.rule != "IV")
+                if not rest:
+                    break
+                if not rest[0].rule.startswith("III"):
+                    vars(g).update(vars(nxt))
+                    trace.extend(path)
+                    return True
+                _reference_step(nxt, rest[0], path, closed=True)
+            key = _reference_state_key(nxt)
+            if key not in seen:
+                seen.add(key)
+                queue.append((nxt, path))
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+@settings(max_examples=500, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_no_type_IV_plateau_past_I_to_III_exhaustion(name, rng):
+    # A type IV move on a closed graph is a vertex twist over H, and twists
+    # preserve the type I and II patterns, so no plateau path reaches a
+    # collapse that I-III missed.
+    n, h, max_carets = CLOSURE_GROUPS[name]
+    g = close(build_diagram(random_element(n, h, rng, max_carets=max_carets)))._g.copy()
+    _reduce_graph(g, rng=random.Random(rng.random()))
+    assert all(r.rule == "IV" for r in _find(g))
+    before = _reference_state_key(g)
+    assert _reference_plateau(g, []) is False
+    assert _reference_state_key(g) == before
