@@ -13,29 +13,30 @@ the congruence, never from the closed form; its signatures are counted
 directly, never by enumerating tuples.
 
 The census runs on the triple view of tree-pair candidates, not on
-elements.  It keeps only the (domain, range) shape blocks with equal depth
-sums and skips every other block before its tau x labels candidates are
-formed (see `_zero_depth_shift` for what this leaves out).  Each remaining
-candidate gets the exact order test on its triples, and only order-p hits
-are tested for reduction; a `TreePairElement` is built, validated and
-closed only for a reduced order-p hit.
+elements, and searches every (domain, range) shape block.  Within a block
+a depth-first search assigns each domain leaf a (range leaf, label) and
+abandons a partial assignment as soon as one of the order test's probes,
+all of whose leaves are assigned, fails; a candidate is tested for
+reduction only once every probe has passed, and a `TreePairElement` is
+built, validated and closed only for a reduced order-p candidate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .closed import closure_invariant, reduced_closure
 from .elements import (
     TreePairElement,
-    _candidates,
     _check_compatible,
     _collapse_once,
     _compose_triples,
     _reduce_triples,
+    _shape_blocks,
     reduced_elements,
 )
-from .perms import Perm, Subgroup
+from .perms import Subgroup
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,7 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
     from the cyclic-group congruence instance (transitive Z_p-spaces have
     sizes 1 and p) minus the trivial homomorphism.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise ValueError(f"p = {p} is not prime")
+    _check_prime(p)
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
     if ord_p % p == 0:
@@ -100,12 +100,17 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
     return count_congruence_solutions(inst) - 1
 
 
+def _is_prime(k: int) -> bool:
+    return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))
+
+
+def _check_prime(p: int):
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def _primes():
-    k = 2
-    while True:
-        if all(k % d for d in range(2, int(k**0.5) + 1)):
-            yield k
-        k += 1
+    return filter(_is_prime, itertools.count(2))
 
 
 def nonisomorphism_witness(n: int, m: int, ord_p: int, ord_q: int) -> int:
@@ -142,6 +147,58 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     return None
 
 
+def _is_identity(triple_by_dom) -> bool:
+    return all(a == b and lab.is_identity() for a, (b, lab) in triple_by_dom.items())
+
+
+def _prober(n, dom, p):
+    """The padded probe of the order-p test for one domain shape `dom` (a
+    collection of the domain leaf addresses).
+
+    `probe(triple_by_dom, a)` iterates the prefix action p times on the
+    probe a 1^pad below domain leaf a.  Labels act letter-wise, so the probe
+    word is always prefix + c^m for one letter c; it is carried as
+    (prefix, c, m), and the tail action as an image tuple.  The probe
+    returns True when the word comes back to a 1^pad with identity tail
+    action and False when it does not.  `triple_by_dom` may hold the
+    triples of only some leaves of `dom`: the probe then returns the first
+    leaf it reaches that has none, and the leaves it reads before that one
+    are the only ones its verdict depends on.
+    """
+    lengths = sorted(set(map(len, dom)))
+    pad = (p + 2) * lengths[-1] + 1
+    ident = tuple(range(1, n + 1))
+
+    def probe(triple_by_dom, a):
+        prefix, c, m = a, 1, pad
+        tail = ident
+        for _ in range(p):
+            for cut in lengths:
+                key = prefix[:cut] if cut <= len(prefix) else prefix + (c,) * (cut - len(prefix))
+                if key in dom:
+                    break
+            else:
+                raise AssertionError("probe reaches no domain leaf")
+            hit = triple_by_dom.get(key)
+            if hit is None:
+                return key
+            b, lab = hit
+            img = lab.images
+            if cut < len(prefix):
+                prefix = b + tuple([img[x - 1] for x in prefix[cut:]])
+            else:
+                m -= cut - len(prefix)
+                prefix = b
+            c = img[c - 1]
+            tail = tuple([img[t - 1] for t in tail])
+        if c != 1 or tail != ident or len(prefix) + m != len(a) + pad:
+            return False
+        k = max(len(prefix), len(a))
+        return prefix + (1,) * (k - len(prefix)) == a + (1,) * (k - len(a))
+
+    return probe
+
+
 def _order_exactly(n, triple_by_dom, p) -> bool:
     """Exact test for order p, p prime, on the triple view {domain address:
     (range address, label)} of any representative, reduced or not: g != id
@@ -149,69 +206,111 @@ def _order_exactly(n, triple_by_dom, p) -> bool:
 
     g^p is the identity iff the prefix action, iterated p times on a padded
     probe below every domain leaf, returns each probe to itself with
-    identity residual tail action.  Order is a property of the
-    homeomorphism, so the verdict does not depend on the representative.
+    identity residual tail action (see `_prober`).  Order is a property of
+    the homeomorphism, so the verdict does not depend on the representative.
     """
-    if all(a == b and lab.is_identity() for a, (b, lab) in triple_by_dom.items()):
-        return False  # identity
-    lengths = sorted(set(map(len, triple_by_dom)))
-    pad = (1,) * ((p + 2) * lengths[-1] + 1)
-    ident = Perm.identity(n)
-    for a in triple_by_dom:
-        probe = w = a + pad
-        tail = ident
-        for _ in range(p):
-            for cut in lengths:
-                hit = triple_by_dom.get(w[:cut])
-                if hit is not None:
-                    break
-            else:
-                raise AssertionError("probe not deep enough")
-            b, lab = hit
-            w = b + lab.act_word(w[cut:])
-            tail = lab * tail
-        if w != probe or not tail.is_identity():
-            return False
-    return True
+    if _is_identity(triple_by_dom):
+        return False
+    probe = _prober(n, triple_by_dom, p)
+    return all(probe(triple_by_dom, a) is True for a in triple_by_dom)
 
 
-def _zero_depth_shift(dom_addrs, ran_addrs):
-    """True when the total depth shift sum(|range| - |domain|) over the
-    strands vanishes, which depends on the two tree shapes only.
+def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
+    """Every (tau, label indices, triple dict) of one shape block whose
+    probes all return True, sorted by (tau, label indices).
 
-    The census keeps only these blocks, as the element-level order test it
-    replaced did.  This is a restriction, not a consequence of torsion:
-    (* (* (* (* *)))) -> (* ((* *) (* *))), tau = [2, 5, 3, 1, 4] is a
-    reduced element of order 3 in V2(Id) with unequal depth sums.
+    A depth-first search assigns each domain leaf a (range leaf, label).
+    A probe's verdict depends only on the leaves it reads, so a probe that
+    fails once they are assigned rules out every completion, and the search
+    backtracks at once.  Each undecided probe waits for the leaf it stopped
+    at; the next leaf assigned is the one the probe just rerun waits for, so
+    an orbit closes within p assignments.
     """
-    return sum(map(len, dom_addrs)) == sum(map(len, ran_addrs))
+    k = len(dom_addrs)
+    index = {a: i for i, a in enumerate(dom_addrs)}
+    triple_by_dom = {}
+    ran_of = [0] * k  # domain leaf index -> tau value
+    label_of = [0] * k  # range leaf index -> label index
+    used = [False] * k  # range leaves taken
+    found = []
+
+    def extend(waiting, x):
+        # waiting: {probe start: the unassigned leaf it stopped at}
+        rerun = [a for a, y in waiting.items() if y == x]
+        for j in range(k):
+            if used[j]:
+                continue
+            used[j] = True
+            ran_of[index[x]] = j + 1
+            for li, lab in enumerate(elems):
+                triple_by_dom[x] = (ran_addrs[j], lab)
+                nxt = dict(waiting)
+                for a in rerun:
+                    got = probe(triple_by_dom, a)
+                    if got is False:
+                        break
+                    if got is True:
+                        del nxt[a]
+                    else:
+                        nxt[a] = got
+                else:
+                    label_of[j] = li
+                    if nxt:
+                        # Next, the leaf a rerun probe waits for, if any.
+                        waited = (nxt[a] for a in rerun if a in nxt)
+                        extend(nxt, next(itertools.chain(waited, nxt.values())))
+                    else:
+                        found.append(
+                            (tuple(ran_of), tuple(label_of), {a: triple_by_dom[a] for a in dom_addrs})
+                        )
+            del triple_by_dom[x]
+            used[j] = False
+
+    extend({a: a for a in dom_addrs}, dom_addrs[0])
+    found.sort(key=lambda t: t[:2])
+    return found
+
+
+def _order_p_candidates(n, subgroup, p, max_leaves):
+    """The candidates of `_candidates(n, subgroup, max_leaves)` that pass
+    `_order_exactly(n, ., p)`, in the same order and form, found by an
+    orbit-pruned search per shape block (`_block_passing_probes`) instead
+    of testing every candidate."""
+    elems = sorted(subgroup.elements)
+    for dom, dom_addrs, ran, ran_addrs in _shape_blocks(n, max_leaves):
+        probe = _prober(n, frozenset(dom_addrs), p)
+        for tau, label_idx, triple_by_dom in _block_passing_probes(
+            probe, dom_addrs, ran_addrs, elems
+        ):
+            if not _is_identity(triple_by_dom):
+                yield dom, ran, tau, tuple(elems[i] for i in label_idx), triple_by_dom
 
 
 def class_census_experiment(
     n: int, subgroup: Subgroup, p: int, max_leaves: int, report_lines=None
 ) -> int:
     """Enumerate the reduced elements of order exactly p with at most
-    max_leaves leaves and equal domain and range depth sums (see
-    `_zero_depth_shift`), bucket them by conjugacy invariant, and return the
+    max_leaves leaves, bucket them by conjugacy invariant, and return the
     class count (at most n, and equal to n once max_leaves realizes every
     class).  Also asserts the reduced closure of every such element has no
     sigma-vertices, which holds whenever p does not divide ord(H).
 
-    Candidates are enumerated as triples in the order of `reduced_elements`,
-    so each class keeps the same first representative.  Shape blocks with
-    unequal depth sums are skipped whole, the order test runs on the triples
-    of every other candidate, and elements are built only for the reduced
-    order-p hits."""
+    Every (domain, range) shape block is searched, and the order-p
+    candidates come out in the order of `reduced_elements`, so each class
+    keeps the same first representative.  The search prunes a partial
+    assignment as soon as one of its probes fails (`_order_p_candidates`),
+    reduction is tested only on the order-p candidates, and elements are
+    built only for the reduced ones."""
+    _check_prime(p)
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
     if subgroup.order % p == 0:
         raise ValueError(f"p = {p} divides ord(H) = {subgroup.order}")
     classes = {}  # conjugacy invariant -> first element of the class
-    candidates = _candidates(n, subgroup, max_leaves, keep_shapes=_zero_depth_shift)
-    for dom, ran, tau, labels, triple_by_dom in candidates:
+    for dom, ran, tau, labels, triple_by_dom in _order_p_candidates(n, subgroup, p, max_leaves):
         # _collapse_once mutates the dict only when it finds a collapse, and
         # an unreduced candidate is dropped.
-        if not _order_exactly(n, triple_by_dom, p) or _collapse_once(n, triple_by_dom):
+        if _collapse_once(n, triple_by_dom):
             continue
         g = TreePairElement(n, subgroup, dom, ran, tau, labels)
         cd = reduced_closure(g)

@@ -316,30 +316,37 @@ def random_element(
     return TreePairElement(n, subgroup, dom, ran, tuple(tau), labels)
 
 
-def _candidates(n: int, subgroup: Subgroup, max_leaves: int, keep_shapes=None):
-    """Every tree-pair candidate with at most max_leaves leaves, reduced or
-    not, as (dom, ran, tau, labels, {domain address: (range address, label)}).
-
-    Candidates come in the enumeration order of `reduced_elements`.  Leaf
-    addresses are computed once per tree shape; `keep_shapes(dom addresses,
-    range addresses)`, when given, drops a whole (dom, ran) block before its
-    tau x labels candidates are formed.  Each candidate gets a fresh dict.
-    """
-    elems = sorted(subgroup.elements)
+def _shape_blocks(n: int, max_leaves: int):
+    """Every (domain shape, range shape) block with at most max_leaves
+    leaves, as (dom, dom addresses, ran, ran addresses): leaf counts
+    ascending, shapes in `all_trees` order.  Leaf addresses are computed
+    once per tree shape."""
     k = 1
     while k <= max_leaves:
         shapes = [(t, leaf_addresses(t)) for t in all_trees(n, k)]
         for dom, dom_addrs in shapes:
             for ran, ran_addrs in shapes:
-                if keep_shapes is not None and not keep_shapes(dom_addrs, ran_addrs):
-                    continue
-                for tau in itertools.permutations(range(1, k + 1)):
-                    # Domain leaf i maps to range leaf tau[i-1]; the label
-                    # sits on the range leaf.
-                    pairs = [(dom_addrs[i], ran_addrs[j - 1], j - 1) for i, j in enumerate(tau)]
-                    for labels in itertools.product(elems, repeat=k):
-                        yield dom, ran, tau, labels, {a: (b, labels[j]) for a, b, j in pairs}
+                yield dom, dom_addrs, ran, ran_addrs
         k += n - 1
+
+
+def _candidates(n: int, subgroup: Subgroup, max_leaves: int):
+    """Every tree-pair candidate with at most max_leaves leaves, reduced or
+    not, as (dom, ran, tau, labels, {domain address: (range address, label)}).
+
+    Candidates come in the enumeration order of `reduced_elements`: shape
+    blocks as in `_shape_blocks`, then tau, then labels, both
+    lexicographically.  Each candidate gets a fresh dict.
+    """
+    elems = sorted(subgroup.elements)
+    for dom, dom_addrs, ran, ran_addrs in _shape_blocks(n, max_leaves):
+        k = len(dom_addrs)
+        for tau in itertools.permutations(range(1, k + 1)):
+            # Domain leaf i maps to range leaf tau[i-1]; the label sits on
+            # the range leaf.
+            pairs = [(dom_addrs[i], ran_addrs[j - 1], j - 1) for i, j in enumerate(tau)]
+            for labels in itertools.product(elems, repeat=k):
+                yield dom, ran, tau, labels, {a: (b, labels[j]) for a, b, j in pairs}
 
 
 def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):

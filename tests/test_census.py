@@ -8,6 +8,8 @@ import vnh.census
 from vnh.census import (
     CongruenceInstance,
     _order_exactly,
+    _order_p_candidates,
+    _prober,
     class_census_experiment,
     count_congruence_solutions,
     count_order_p_classes,
@@ -17,6 +19,7 @@ from vnh.census import (
 from vnh.closed import are_conjugate, closure_invariant, reduced_closure
 from vnh.elements import (
     TreePairElement,
+    _candidates,
     compose,
     element_order,
     equal_elements,
@@ -190,6 +193,13 @@ def test_census_rejects_bad_p():
         class_census_experiment(2, Subgroup.symmetric(2), 2, 3)  # 2 | ord(H)
 
 
+def test_census_rejects_composite_p():
+    with pytest.raises(ValueError, match="not prime"):
+        class_census_experiment(2, Subgroup.trivial(2), 4, 4)
+    with pytest.raises(ValueError, match="not prime"):
+        class_census_experiment(2, Subgroup.trivial(2), 1, 4)
+
+
 def test_census_monotone_in_leaves():
     h = Subgroup.trivial(2)
     counts = [class_census_experiment(2, h, 3, k) for k in (3, 4, 5)]
@@ -241,13 +251,37 @@ def test_triple_order_test_matches_element_order(name, rng):
             assert _order_exactly(n, triple_by_dom, p) == (element_order(e, p) == p)
 
 
+def _padded_probe_order_exactly(n, triple_by_dom, p) -> bool:
+    """The order-p test with the probe spelled out as a padded tuple: a
+    test oracle for the symbolic probe of `_order_exactly`."""
+    if all(a == b and lab.is_identity() for a, (b, lab) in triple_by_dom.items()):
+        return False  # identity
+    lengths = sorted(set(map(len, triple_by_dom)))
+    pad = (1,) * ((p + 2) * lengths[-1] + 1)
+    ident = Perm.identity(n)
+    for a in triple_by_dom:
+        probe = w = a + pad
+        tail = ident
+        for _ in range(p):
+            for cut in lengths:
+                hit = triple_by_dom.get(w[:cut])
+                if hit is not None:
+                    break
+            else:
+                raise AssertionError("probe not deep enough")
+            b, lab = hit
+            w = b + lab.act_word(w[cut:])
+            tail = lab * tail
+        if w != probe or not tail.is_identity():
+            return False
+    return True
+
+
 def _reference_order_exactly(g, p):
-    """Element-level order test: zero total depth shift, not the identity,
-    and a padded probe below every domain leaf returns to itself after p
-    steps with identity residual tail action."""
+    """Element-level order test: not the identity, and a padded probe below
+    every domain leaf returns to itself after p steps with identity residual
+    tail action."""
     triples = g.triples()
-    if sum(len(b) - len(a) for a, b, _ in triples) != 0:
-        return False
     if all(a == b and lab.is_identity() for a, b, lab in triples):
         return False
     by_dom = {a: (b, lab) for a, b, lab in triples}
@@ -323,18 +357,82 @@ def test_census_matches_element_level_reference(monkeypatch, n, h, p, max_leaves
         assert closed == hits
 
 
-def test_depth_filter_skips_torsion_but_no_census_line(monkeypatch):
-    # The census keeps only shape blocks with equal depth sums.  Torsion does
-    # not imply that: this reduced order-3 element has depth sums 14 and 13.
+def test_census_closes_torsion_with_unequal_depth_sums(monkeypatch):
+    # Torsion does not imply equal domain and range depth sums: this reduced
+    # order-3 element has depth sums 14 and 13, and the census tests it.
     h = Subgroup.trivial(2)
     dom = parse_tree("(* (* (* (* *))))", 2)
     ran = parse_tree("(* ((* *) (* *)))", 2)
     g = TreePairElement(2, h, dom, ran, (2, 5, 3, 1, 4), (Perm.identity(2),) * 5)
     assert is_reduced(g) and element_order(g, 3) == 3
-    assert not vnh.census._zero_depth_shift(g.domain_addresses(), g.range_addresses())
-    # Yet enumerating every block changes no line of this census.
-    kept, every = [], []
-    class_census_experiment(2, h, 3, 5, kept)
-    monkeypatch.setattr(vnh.census, "_zero_depth_shift", lambda dom_addrs, ran_addrs: True)
-    class_census_experiment(2, h, 3, 5, every)
-    assert every == kept
+    assert sum(map(len, g.domain_addresses())) != sum(map(len, g.range_addresses()))
+    closed = []
+
+    def recording_closure(e):
+        closed.append(e.key())
+        return reduced_closure(e)
+
+    monkeypatch.setattr(vnh.census, "reduced_closure", recording_closure)
+    assert class_census_experiment(2, h, 3, 5) == 2
+    assert g.key() in closed
+
+
+@pytest.mark.parametrize(
+    "n,h,p,max_leaves",
+    [
+        (2, Subgroup.trivial(2), 2, 5),
+        (2, Subgroup.trivial(2), 3, 5),
+        (2, Subgroup.trivial(2), 5, 5),
+        (2, Subgroup.symmetric(2), 3, 4),
+        (3, Subgroup.trivial(3), 5, 5),
+        (3, Subgroup.cyclic(3), 2, 3),
+        (3, Subgroup.symmetric(3), 5, 3),
+        (4, Subgroup.trivial(4), 2, 7),
+        (4, Subgroup.trivial(4), 3, 7),
+    ],
+    ids=[
+        "V2(Id)-p2",
+        "V2(Id)-p3",
+        "V2(Id)-p5",
+        "V2(Z2)-p3",
+        "V3(Id)-p5",
+        "V3(Z3)-p2",
+        "V3(S3)-p5",
+        "V4(Id)-p2",
+        "V4(Id)-p3",
+    ],
+)
+def test_pruned_search_yields_the_order_p_candidates(n, h, p, max_leaves):
+    # The search per shape block finds exactly the candidates that pass the
+    # order test on the full walk, in the walk's order, each with the same
+    # tau, labels and triples.
+    def comparable(cands):
+        return [
+            (dom, ran, tau, tuple(lab.images for lab in labels), triple_by_dom)
+            for dom, ran, tau, labels, triple_by_dom in cands
+        ]
+
+    walk = [c for c in _candidates(n, h, max_leaves) if _order_exactly(n, c[4], p)]
+    assert comparable(_order_p_candidates(n, h, p, max_leaves)) == comparable(walk)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_GROUPS))
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_probe_decided_on_partial_triples_matches_full_verdict(name, rng):
+    n, h = ORDER_GROUPS[name]
+    g = _torsion_biased_element(n, h, rng)
+    full = {a: (b, lab) for a, b, lab in g.triples()}
+    for p in (2, 3, 5):
+        assert _order_exactly(n, full, p) == _padded_probe_order_exactly(n, full, p)
+        probe = _prober(n, frozenset(full), p)
+        partial = {a: t for a, t in full.items() if rng.random() < 0.7}
+        for a in full:
+            verdict = probe(full, a)
+            assert verdict is True or verdict is False
+            got = probe(partial, a)
+            if got is True or got is False:
+                assert got == verdict
+            else:
+                # Undecided: it names the withheld leaf it stopped at.
+                assert got in full and got not in partial

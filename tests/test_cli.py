@@ -176,6 +176,14 @@ def test_census_enumeration_mode(capsys):
     assert out.startswith("class 1: representative = ")
 
 
+def test_census_enumeration_mode_rejects_composite_p(capsys):
+    args = ["census", "--n", "2", "--H", "id", "--p", "4", "--max-leaves", "4"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p = 4 is not prime" in captured.err
+
+
 def test_oracle_exit_codes(files, capsys):
     assert main(["oracle", files["id"], files["id"], "--oracle-bound", "1"]) == 0
     assert capsys.readouterr().out.startswith("oracle: yes")
