@@ -17,8 +17,9 @@ elements, and searches every (domain, range) shape block.  Within a block
 a depth-first search assigns each domain leaf a (range leaf, label) and
 abandons a partial assignment as soon as one of the order test's probes,
 all of whose leaves are assigned, fails; a candidate is tested for
-reduction only once every probe has passed, and a `TreePairElement` is
-built, validated and closed only for a reduced order-p candidate.
+reduction only once every probe has passed.  A reduced order-p candidate
+is closed straight from its triples, and a `TreePairElement` is built only
+for the first candidate of each class, the representative it reports.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closed import closure_invariant, reduced_closure
+from .closed import _closure_of_triples, closure_invariant
 from .elements import (
     TreePairElement,
     _check_compatible,
@@ -49,8 +50,7 @@ class CongruenceInstance:
     starred: bool = True
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("arity must be >= 2")
+        _check_arity(self.n)
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ValueError("space sizes must be positive")
 
@@ -91,6 +91,7 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
     from the cyclic-group congruence instance (transitive Z_p-spaces have
     sizes 1 and p) minus the trivial homomorphism.
     """
+    _check_arity(n)
     _check_prime(p)
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
@@ -98,6 +99,11 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
         raise ValueError(f"p = {p} divides ord(P) = {ord_p}")
     inst = CongruenceInstance(n, (1, p))
     return count_congruence_solutions(inst) - 1
+
+
+def _check_arity(n: int):
+    if n < 2:
+        raise ValueError("arity must be >= 2")
 
 
 def _is_prime(k: int) -> bool:
@@ -299,8 +305,10 @@ def class_census_experiment(
     candidates come out in the order of `reduced_elements`, so each class
     keeps the same first representative.  The search prunes a partial
     assignment as soon as one of its probes fails (`_order_p_candidates`),
-    reduction is tested only on the order-p candidates, and elements are
-    built only for the reduced ones."""
+    reduction is tested only on the order-p candidates, each reduced one is
+    closed straight from its triples, and an element is built only for the
+    first of each class, its representative."""
+    _check_arity(n)
     _check_prime(p)
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
@@ -312,14 +320,15 @@ def class_census_experiment(
         # an unreduced candidate is dropped.
         if _collapse_once(n, triple_by_dom):
             continue
-        g = TreePairElement(n, subgroup, dom, ran, tau, labels)
-        cd = reduced_closure(g)
+        cd = _closure_of_triples(n, triple_by_dom)
         if cd.has_graph_part() and cd.sigma_vertex_count() > 0:
             raise AssertionError(
                 "order-p element with p coprime to ord(H) has a sigma-vertex "
                 "in its reduced closure"
             )
-        classes.setdefault(closure_invariant(cd, subgroup), g)
+        key = closure_invariant(cd, subgroup)
+        if key not in classes:
+            classes[key] = TreePairElement(n, subgroup, dom, ran, tau, labels)
     reps = list(classes.values())
     if report_lines is not None:
         from .io import element_to_json

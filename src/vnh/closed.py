@@ -3,7 +3,12 @@
 Closing a (p,p,n)-strand diagram identifies each main sink with the matching
 main source and erases the joint; every closure edge carries winding weight
 1 and all others 0, so the per-edge integer cochain represents the class
-that counts trips around the annulus.  Equality of closed diagrams (`==`,
+that counts trips around the annulus.  `reduced_closure`, the entry point
+of the conjugacy decision, skips `close`: it builds the closed diagram of
+an element's reduced tree pair straight from the reduced triples
+(`diagrams._tree_pair_graph`), with the range root's out-edge running
+into the domain root at winding 1, and hands it to `reduce_closed`.
+Equality of closed diagrams (`==`,
 `closed_equal`) is equality of the underlying port graph together with that
 cohomology class, decided by spanning-tree normalization inside the
 canonical serialization.  `reduce_closed` is not canonical in that sense:
@@ -57,9 +62,9 @@ from .diagrams import (
     _loop_token,
     _scan_ports,
     _to_dot,
-    build_diagram,
+    _tree_pair_graph,
 )
-from .elements import TreePairElement, _check_compatible, reduce_element
+from .elements import TreePairElement, _check_compatible, _reduce_triples
 from .perms import Perm, Subgroup
 from .rewriting import CochainError, _reduce_graph
 
@@ -92,6 +97,16 @@ class ClosedDiagram:
             raise CochainError("winding must be positive on every oriented loop")
         self._g = graph
         self._canon = None
+
+    @classmethod
+    def _trusted(cls, graph: _Graph) -> "ClosedDiagram":
+        """Closed diagram from a graph already known to be valid, without
+        the checks in ``__init__``; `reduced_closure` builds its input this
+        way and `reduce_closed` checks the result."""
+        cd = object.__new__(cls)
+        cd._g = graph
+        cd._canon = None
+        return cd
 
     @classmethod
     def from_loops(cls, n, loops):
@@ -434,8 +449,24 @@ def conjugating_equivalent(c1: ClosedDiagram, c2: ClosedDiagram, subgroup: Subgr
 # -- conjugacy decision for elements ---------------------------------------
 
 
+def _closure_of_triples(n, triple_by_dom) -> ClosedDiagram:
+    """`reduce_closed` of the closed diagram of a reduced tree pair given
+    as {domain address: (range address, label)}, built straight from the
+    triples (`diagrams._tree_pair_graph`)."""
+    return reduce_closed(ClosedDiagram._trusted(_tree_pair_graph(n, triple_by_dom, closed=True)))
+
+
 def reduced_closure(g: TreePairElement) -> ClosedDiagram:
-    return reduce_closed(close(build_diagram(reduce_element(g))))
+    """Reduced closed diagram of g.
+
+    The closure of g's reduced tree pair is built straight from its reduced
+    triples, with no element, tree, open diagram or `close` in between: the
+    range root's out-edge runs into the domain root with winding 1.  It
+    equals `close(build_diagram(reduce_element(g)))` up to an
+    order-preserving renaming of vertex ids, so `reduce_closed` takes the
+    same rewrite steps on it.  The winding check runs once, on the reduced
+    result."""
+    return _closure_of_triples(g.n, _reduce_triples(g.n, g.triples()))
 
 
 def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):
@@ -454,8 +485,9 @@ def conjugacy_invariant(g: TreePairElement):
 
 
 def are_conjugate(f: TreePairElement, g: TreePairElement) -> bool:
-    """Conjugacy in V_n(H): reduce, build diagrams, close, reduce, compare
-    up to conjugating transformations."""
+    """Conjugacy in V_n(H): reduce both tree pairs, build their closed
+    diagrams from the reduced triples, reduce those, and compare up to
+    conjugating transformations."""
     _check_compatible(f, g)
     return conjugacy_invariant(f) == conjugacy_invariant(g)
 

@@ -331,6 +331,16 @@ class StrandDiagram:
         self._g = graph
         self._canon = None
 
+    @classmethod
+    def _trusted(cls, graph: _Graph) -> "StrandDiagram":
+        """Diagram from a graph already known to be valid (built from a tree
+        pair, glued or rewritten from valid diagrams), without the checks in
+        ``__init__``."""
+        d = object.__new__(cls)
+        d._g = graph
+        d._canon = None
+        return d
+
     @property
     def n(self):
         return self._g.n
@@ -418,49 +428,74 @@ def _to_dot(g, order, with_weights, loop_records=()):
 # -- tree pair <-> diagram ------------------------------------------------
 
 
-def _build_split_tree(g, tree, parent):
-    if tree == LEAF:
-        return [parent]
-    v = g.new_vertex(SPLIT)
-    g.add_edge(parent[0], parent[1], v, 0)
-    out = []
-    for c, child in enumerate(tree, start=1):
-        out.extend(_build_split_tree(g, child, (v, c)))
-    return out
+def _internal_nodes(addrs):
+    """Sorted proper prefixes of a complete prefix code: the internal nodes
+    of its tree, in preorder."""
+    return sorted({a[:i] for a in addrs for i in range(len(a))})
 
 
-def _build_merge_tree(g, tree, parent):
-    if tree == LEAF:
-        return [parent]
-    v = g.new_vertex(MERGE)
-    g.add_edge(v, 0, parent[0], parent[1])
-    out = []
-    for c, child in enumerate(tree, start=1):
-        out.extend(_build_merge_tree(g, child, (v, c)))
-    return out
+def _tree_pair_graph(n, triple_by_dom, closed):
+    """Port graph of a tree pair given as {domain address: (range address,
+    label)}: the domain tree as splits, the range tree as merges, and strand
+    a -> b through a sigma-vertex when the label is not the identity.
+
+    Open (`closed=False`): a main source above the domain root and a main
+    sink below the range root.  Closed: neither; the range root's out-edge
+    runs into the domain root with winding 1, and a one-leaf pair is a free
+    loop (1, id) or a sigma self-loop of winding 1.  Vertices are created
+    as splits in preorder, merges in preorder, then sigmas in domain-leaf
+    order; the rewrite driver's schedule reads these ids.
+    """
+    g = _Graph(n)
+    dom = sorted(triple_by_dom)
+    if closed:
+        down = {(): None}  # address -> the out-port feeding that node
+        up = {(): None}  # address -> the in-port fed by that node
+    else:
+        down = {(): (g.new_vertex(SOURCE), 0)}
+        up = {(): (g.new_vertex(SINK), 0)}
+    for u in _internal_nodes(dom):
+        v = g.new_vertex(SPLIT)
+        tail = down.pop(u)
+        if tail is None:
+            root_split = v
+        else:
+            g.add_edge(tail[0], tail[1], v, 0)
+        for c in range(1, n + 1):
+            down[u + (c,)] = (v, c)
+    for u in _internal_nodes([b for b, _ in triple_by_dom.values()]):
+        v = g.new_vertex(MERGE)
+        head = up.pop(u)
+        if head is None:
+            g.add_edge(v, 0, root_split, 0, 1)
+        else:
+            g.add_edge(v, 0, head[0], head[1])
+        for c in range(1, n + 1):
+            up[u + (c,)] = (v, c)
+    for a in dom:
+        b, lab = triple_by_dom[a]
+        tail, head = down[a], up[b]
+        if tail is None:  # closed one-leaf pair
+            if lab.is_identity():
+                g.free_loops.append((1, lab))
+            else:
+                v = g.new_vertex(SIGMA, lab)
+                g.add_edge(v, 1, v, 0, 1)
+        elif lab.is_identity():
+            g.add_edge(tail[0], tail[1], head[0], head[1])
+        else:
+            v = g.new_vertex(SIGMA, lab)
+            g.add_edge(tail[0], tail[1], v, 0)
+            g.add_edge(v, 1, head[0], head[1])
+    return g
 
 
 def build_diagram(elem) -> StrandDiagram:
     """(1,1,n)-strand diagram of a tree-pair element: domain tree as splits
     below the source, range tree as merges above the sink, strand i -> tau(i)
     with a sigma-vertex carrying the leaf label when it is not the identity."""
-    g = _Graph(elem.n)
-    src = g.new_vertex(SOURCE)
-    snk = g.new_vertex(SINK)
-    dom_ports = _build_split_tree(g, elem.domain_tree, (src, 0))
-    ran_ports = _build_merge_tree(g, elem.range_tree, (snk, 0))
-    for i in range(1, elem.k + 1):
-        j = elem.tau[i - 1]
-        lab = elem.labels[j - 1]
-        tail = dom_ports[i - 1]
-        head = ran_ports[j - 1]
-        if lab.is_identity():
-            g.add_edge(tail[0], tail[1], head[0], head[1])
-        else:
-            v = g.new_vertex(SIGMA, lab)
-            g.add_edge(tail[0], tail[1], v, 0)
-            g.add_edge(v, 1, head[0], head[1])
-    return StrandDiagram(g)
+    triple_by_dom = {a: (b, lab) for a, b, lab in elem.triples()}
+    return StrandDiagram._trusted(_tree_pair_graph(elem.n, triple_by_dom, closed=False))
 
 
 def cut_diagram(d: StrandDiagram):
@@ -563,4 +598,4 @@ def concatenate(d1: StrandDiagram, d2: StrandDiagram) -> StrandDiagram:
         g.smooth(t)
     if g.free_loops:
         raise DiagramError("concatenation of open diagrams created a loop")
-    return StrandDiagram(g)
+    return StrandDiagram._trusted(g)

@@ -491,7 +491,7 @@ def reduce(d: StrandDiagram, *, rng=None, trace=None) -> StrandDiagram:
     """Reduced form of an open strand diagram, unique by confluence."""
     g = d._g.copy()
     _reduce_graph(g, rng=rng, trace=trace)
-    return StrandDiagram(g)
+    return StrandDiagram._trusted(g)
 
 
 def format_trace(trace):

@@ -16,11 +16,12 @@ from vnh.census import (
     nonisomorphism_witness,
     oracle_conjugate,
 )
-from vnh.closed import are_conjugate, closure_invariant, reduced_closure
+from vnh.closed import _closure_of_triples, are_conjugate, closure_invariant, reduced_closure
 from vnh.elements import (
     TreePairElement,
     _candidates,
     compose,
+    element_from_triples,
     element_order,
     equal_elements,
     expand_representative,
@@ -200,6 +201,16 @@ def test_census_rejects_composite_p():
         class_census_experiment(2, Subgroup.trivial(2), 1, 4)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_census_rejects_arity_below_two(n):
+    # Arity is checked first: for n = 1 the p | n-1 check would otherwise
+    # report "p = 2 divides n - 1 = 0".
+    with pytest.raises(ValueError, match="arity must be >= 2"):
+        count_order_p_classes(n, 2, 1)
+    with pytest.raises(ValueError, match="arity must be >= 2"):
+        class_census_experiment(n, Subgroup.trivial(n), 2, 3)
+
+
 def test_census_monotone_in_leaves():
     h = Subgroup.trivial(2)
     counts = [class_census_experiment(2, h, 3, k) for k in (3, 4, 5)]
@@ -327,6 +338,12 @@ def _reference_census(n, h, p, max_leaves):
     return lines, hits
 
 
+def _triples_key(n, h, triple_by_dom):
+    """Key of the element whose triples are {domain address: (range
+    address, label)}."""
+    return element_from_triples(n, h, [(a, b, lab) for a, (b, lab) in triple_by_dom.items()]).key()
+
+
 @pytest.mark.parametrize(
     "n,h,p,max_leaves",
     [
@@ -339,15 +356,15 @@ def _reference_census(n, h, p, max_leaves):
     ids=["V2(Id)-p2", "V2(Id)-p3", "V2(Z2)-p3", "V3(Id)-p5", "V4(Id)-p2"],
 )
 def test_census_matches_element_level_reference(monkeypatch, n, h, p, max_leaves):
-    # The census builds an element, and takes its closure, only for reduced
-    # order-p candidates: record the elements it closes.
+    # The census closes only reduced order-p candidates, straight from their
+    # triples: record the elements it closes.
     closed = []
 
-    def recording_closure(g):
-        closed.append(g.key())
-        return reduced_closure(g)
+    def recording_closure(n, triple_by_dom):
+        closed.append(_triples_key(n, h, triple_by_dom))
+        return _closure_of_triples(n, triple_by_dom)
 
-    monkeypatch.setattr(vnh.census, "reduced_closure", recording_closure)
+    monkeypatch.setattr(vnh.census, "_closure_of_triples", recording_closure)
     for leaves in range(1, max_leaves + 1, n - 1):
         lines, hits = _reference_census(n, h, p, leaves)
         got = []
@@ -368,11 +385,11 @@ def test_census_closes_torsion_with_unequal_depth_sums(monkeypatch):
     assert sum(map(len, g.domain_addresses())) != sum(map(len, g.range_addresses()))
     closed = []
 
-    def recording_closure(e):
-        closed.append(e.key())
-        return reduced_closure(e)
+    def recording_closure(n, triple_by_dom):
+        closed.append(_triples_key(n, h, triple_by_dom))
+        return _closure_of_triples(n, triple_by_dom)
 
-    monkeypatch.setattr(vnh.census, "reduced_closure", recording_closure)
+    monkeypatch.setattr(vnh.census, "_closure_of_triples", recording_closure)
     assert class_census_experiment(2, h, 3, 5) == 2
     assert g.key() in closed
 

@@ -184,6 +184,15 @@ def test_census_enumeration_mode_rejects_composite_p(capsys):
     assert "p = 4 is not prime" in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+@pytest.mark.parametrize("leaves", [[], ["--max-leaves", "3"]], ids=["congruence", "enumeration"])
+def test_census_rejects_arity_below_two(capsys, n, leaves):
+    assert main(["census", "--n", n, "--H", "id", "--p", "2", *leaves]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "arity must be >= 2" in captured.err
+
+
 def test_oracle_exit_codes(files, capsys):
     assert main(["oracle", files["id"], files["id"], "--oracle-bound", "1"]) == 0
     assert capsys.readouterr().out.startswith("oracle: yes")

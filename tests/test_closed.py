@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vnh.closed
 from vnh.closed import (
     ClosedDiagram,
     FreeLoop,
@@ -26,6 +27,7 @@ from vnh.diagrams import (
     SIGMA,
     DiagramError,
     _Graph,
+    _tree_pair_graph,
     build_diagram,
     identity_diagram,
 )
@@ -361,6 +363,83 @@ def test_reduce_closed_unique_up_to_gauge_under_random_schedules(name, rng):
     for g in encodings:
         reduced = reduce_closed(close(build_diagram(g)), rng=random.Random(rng.random()))
         assert closure_invariant(reduced, h) == expected
+
+
+def _traced_reduced_closure(monkeypatch, g):
+    """reduced_closure(g) together with the rewrite trace of its
+    `reduce_closed` call."""
+    trace = []
+
+    def traced(cd, **kwargs):
+        return reduce_closed(cd, trace=trace, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(vnh.closed, "reduce_closed", traced)
+        cd = reduced_closure(g)
+    return cd, trace
+
+
+def _assert_order_preserving_renaming(old_trace, new_trace):
+    assert len(old_trace) == len(new_trace)
+    ren = {}
+    for (old_rule, old_anchors), (new_rule, new_anchors) in zip(old_trace, new_trace):
+        assert old_rule == new_rule
+        assert len(old_anchors) == len(new_anchors)
+        for x, y in zip(old_anchors, new_anchors):
+            assert ren.setdefault(x, y) == y
+    pairs = sorted(ren.items())
+    assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+
+
+@pytest.mark.parametrize(
+    "n,h,max_carets",
+    [
+        (2, Subgroup.trivial(2), 4),
+        (2, Subgroup.symmetric(2), 4),
+        (3, Subgroup.symmetric(3), 4),
+        (4, Subgroup.symmetric(4), 3),
+    ],
+    ids=["V2(Id)", "V2(Z2)", "V3(S3)", "V4(S4)"],
+)
+def test_reduced_closure_matches_close_of_reduced_diagram(monkeypatch, n, h, max_carets):
+    # reduced_closure builds the closure straight from the reduced triples;
+    # it must reduce like the closure of the reduced element's diagram: the
+    # same rule sequence on vertex ids renamed in order, the same result.
+    # About a third of the elements have equal trees, so many are torsion.
+    rng = random.Random(9000 + n * 10 + h.order)
+    elems = sorted(h.elements)
+    for _ in range(500):
+        g = random_element(n, h, rng, max_carets=max_carets)
+        if rng.random() < 0.3:
+            tau = list(range(1, g.k + 1))
+            rng.shuffle(tau)
+            labels = tuple(rng.choice(elems) for _ in tau)
+            g = TreePairElement(n, h, g.domain_tree, g.domain_tree, tuple(tau), labels)
+        old_trace = []
+        old = reduce_closed(close(build_diagram(reduce_element(g))), trace=old_trace)
+        new, new_trace = _traced_reduced_closure(monkeypatch, g)
+        assert closure_invariant(new, h) == closure_invariant(old, h)
+        assert new == old
+        _assert_order_preserving_renaming(old_trace, new_trace)
+
+
+def test_closed_tree_pair_graph_of_one_leaf_pairs():
+    n = 3
+    one = Perm.identity(n)
+    g = _tree_pair_graph(n, {(): ((), one)}, closed=True)
+    assert not g.kind and not g.edges
+    assert g.free_loops == [(1, one)]
+    rot = Perm((2, 3, 1))
+    g = _tree_pair_graph(n, {(): ((), rot)}, closed=True)
+    assert list(g.kind.values()) == [SIGMA] and g.label == {0: rot}
+    assert list(g.edges.values()) == [[0, 1, 0, 0, 1]]
+    h = Subgroup.symmetric(n)
+    for lab in (one, rot):
+        elem = TreePairElement(n, h, LEAF, LEAF, (1,), (lab,))
+        cd = reduced_closure(elem)
+        assert not cd.has_graph_part()
+        assert cd.free_loops == (FreeLoop(1, lab),)
+        assert cd == reduce_closed(close(build_diagram(elem)))
 
 
 def test_loop_class_needs_no_search_bound_on_v4_s4():

@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
 from vnh.diagrams import (
     SIGMA,
+    SINK,
+    SOURCE,
     SPLIT,
     MERGE,
     DiagramError,
     NotReducedError,
+    StrandDiagram,
+    _Graph,
     build_diagram,
     concatenate,
     cut_diagram,
@@ -159,3 +165,96 @@ def test_dot_export_stable(rng):
     assert dot1 == dot2
     assert dot1.startswith("digraph strand {")
     assert "taillabel" in dot1 and "headlabel" in dot1
+
+
+# The recursive builder `build_diagram` used before it was built on
+# `_tree_pair_graph`: a reference for its vertex order and output.
+
+
+def _reference_split_tree(g, tree, parent):
+    if tree == LEAF:
+        return [parent]
+    v = g.new_vertex(SPLIT)
+    g.add_edge(parent[0], parent[1], v, 0)
+    out = []
+    for c, child in enumerate(tree, start=1):
+        out.extend(_reference_split_tree(g, child, (v, c)))
+    return out
+
+
+def _reference_merge_tree(g, tree, parent):
+    if tree == LEAF:
+        return [parent]
+    v = g.new_vertex(MERGE)
+    g.add_edge(v, 0, parent[0], parent[1])
+    out = []
+    for c, child in enumerate(tree, start=1):
+        out.extend(_reference_merge_tree(g, child, (v, c)))
+    return out
+
+
+def _reference_build_diagram(elem):
+    g = _Graph(elem.n)
+    src = g.new_vertex(SOURCE)
+    snk = g.new_vertex(SINK)
+    dom_ports = _reference_split_tree(g, elem.domain_tree, (src, 0))
+    ran_ports = _reference_merge_tree(g, elem.range_tree, (snk, 0))
+    for i in range(1, elem.k + 1):
+        j = elem.tau[i - 1]
+        lab = elem.labels[j - 1]
+        tail = dom_ports[i - 1]
+        head = ran_ports[j - 1]
+        if lab.is_identity():
+            g.add_edge(tail[0], tail[1], head[0], head[1])
+        else:
+            v = g.new_vertex(SIGMA, lab)
+            g.add_edge(tail[0], tail[1], v, 0)
+            g.add_edge(v, 1, head[0], head[1])
+    return StrandDiagram(g)
+
+
+@pytest.mark.parametrize(
+    "n,h",
+    [
+        (2, Subgroup.trivial(2)),
+        (2, Subgroup.symmetric(2)),
+        (3, Subgroup.symmetric(3)),
+        (4, Subgroup.symmetric(4)),
+    ],
+    ids=["V2(Id)", "V2(Z2)", "V3(S3)", "V4(S4)"],
+)
+def test_build_diagram_matches_recursive_reference(n, h):
+    # Unreduced elements as drawn, and their reductions; max_carets=3 draws
+    # one-leaf elements a quarter of the time.
+    rng = random.Random(4000 + n * 10 + h.order)
+    one_leaf = 0
+    for _ in range(300):
+        g = random_element(n, h, rng, max_carets=3)
+        one_leaf += g.k == 1
+        for elem in (g, reduce_element(g)):
+            d = build_diagram(elem)
+            ref = _reference_build_diagram(elem)
+            assert d.canonical() == ref.canonical()
+            assert d.to_dot() == ref.to_dot()
+            # Same vertex ids and edges, so the rewrite driver's schedule on
+            # them is the same too.
+            assert (d._g.kind, d._g.label, d._g.edges) == (ref._g.kind, ref._g.label, ref._g.edges)
+    assert one_leaf > 0
+
+
+def test_trusted_diagrams_are_valid(rng, group):
+    # build_diagram, concatenate and reduce skip the constructor's checks;
+    # their results must pass them.
+    n, h = group
+    for _ in range(100):
+        factors = [random_element(n, h, rng) for _ in range(rng.randrange(2, 5))]
+        diagrams = [build_diagram(f) for f in factors]
+        d = diagrams[0]
+        for nxt in diagrams[1:]:
+            d = concatenate(d, nxt)
+            diagrams.append(d)
+        diagrams.append(reduce(d))
+        for d in diagrams:
+            d._g.check_ports()
+            assert d._g.is_acyclic()
+            assert StrandDiagram(d._g) == d
