@@ -59,6 +59,7 @@ from .diagrams import (
     DiagramError,
     StrandDiagram,
     _Graph,
+    _join_below,
     _loop_token,
     _scan_ports,
     _to_dot,
@@ -270,77 +271,113 @@ def add_coboundary(cd: ClosedDiagram, potential) -> ClosedDiagram:
 # quotient the sigma-decorations by this gauge action.  Twists cannot
 # enable new type I collapses (equalizing d*l_i*c^-1 across strands forces
 # the l_i already equal), so gauging commutes with reduction.
+#
+# The canonical form of a component is the least gauge-fixed BFS
+# serialization over every (start vertex, root twist).  Candidates are
+# serialized one after another against the running minimum, and each stops
+# as soon as its ";"-joined prefix sorts above the minimum's prefix of the
+# same length (`diagrams._join_below`).  The bound must be taken on the
+# joined string, not token by token: a weight token "w1" is a prefix of
+# "w12" while ";" sorts after the digits, so the two orders can pick
+# different minima.  Gauges are image tuples, each stored with its inverse.
 
 
 def _skeleton(g):
-    """Smooth sigma-vertices into edge labels on the split/merge skeleton."""
+    """Smooth sigma-vertices into edge labels on the split/merge skeleton:
+    each edge is (tail, tport, head, hport, label, label^-1, weight), the
+    labels as image tuples."""
     verts = {v: k for v, k in g.kind.items() if k in (SPLIT, MERGE)}
     out_at, in_at = {}, {}
+    ident = tuple(range(1, g.n + 1))
     for (v, p), eid in g.out_at.items():
         if v not in verts:
             continue
-        lab = Perm.identity(g.n)
+        lab = ident
         w = 0
         cur = eid
         while True:
             _, _, head, hport, wt = g.edges[cur]
             w += wt
             if g.kind[head] == SIGMA:
-                lab = g.label[head] * lab
+                sig = g.label[head].images
+                lab = tuple([sig[j - 1] for j in lab])
                 cur = g.out_at[(head, 1)]
             else:
-                edge = (v, p, head, hport, lab, w)
+                inv = [0] * g.n
+                for i, j in enumerate(lab, start=1):
+                    inv[j - 1] = i
+                edge = (v, p, head, hport, lab, tuple(inv), w)
                 out_at[(v, p)] = edge
                 in_at[(head, hport)] = edge
                 break
     return verts, out_at, in_at
 
 
-def _gauge_serialize(n, verts, out_at, in_at, comp, start, h0):
-    gauge = {start: h0}
+def _gauge_tokens(n, verts, out_at, in_at, start, root):
+    """Tokens of the gauge-fixed BFS serialization of start's component,
+    the root twisted by `root` = (images, inverse images): each vertex
+    reached gets the gauge that makes its BFS tree edge's label the
+    identity, and edge weights are normalized to zero on the BFS tree."""
+    scans = {kind: _scan_ports(kind, n) for kind in (SPLIT, MERGE)}
+    gauge = {start: root}
     phi = {start: 0}
     num = {start: 0}
     order = [start]
-    tokens = []
     qi = 0
     while qi < len(order):
         v = order[qi]
         qi += 1
-        gv_inv = gauge[v].inverse()
-        tokens.append(verts[v][0])
-        for d, p in _scan_ports(verts[v], n):
-            pre = p if p == 0 else gv_inv(p)
-            tail, tport, head, hport, lab, w = (
+        gv, gv_inv = gauge[v]
+        kind = verts[v]
+        yield kind[0]
+        for d, p in scans[kind]:
+            pre = p if p == 0 else gv_inv[p - 1]
+            tail, tport, head, hport, lab, lab_inv, w = (
                 out_at[(v, pre)] if d == "o" else in_at[(v, pre)]
             )
             peer = head if d == "o" else tail
             if peer not in gauge:
                 if d == "o":
-                    gauge[peer] = gauge[v] * lab.inverse()
+                    # gauge[v] * lab^-1, inverse lab * gauge[v]^-1
+                    gauge[peer] = (
+                        tuple([gv[j - 1] for j in lab_inv]),
+                        tuple([lab[j - 1] for j in gv_inv]),
+                    )
                     phi[peer] = phi[v] + w
                 else:
-                    gauge[peer] = gauge[v] * lab
+                    # gauge[v] * lab, inverse lab^-1 * gauge[v]^-1
+                    gauge[peer] = (
+                        tuple([gv[j - 1] for j in lab]),
+                        tuple([lab_inv[j - 1] for j in gv_inv]),
+                    )
                     phi[peer] = phi[v] - w
                 num[peer] = len(order)
                 order.append(peer)
-            gl = gauge[head] * lab * gauge[tail].inverse()
+            g_head = gauge[head][0]
+            g_tail, g_tail_inv = gauge[tail]
+            # gauge[head] * lab * gauge[tail]^-1
+            gl = tuple([g_head[lab[j - 1] - 1] for j in g_tail_inv])
             nw = w + phi[tail] - phi[head]
-            pt = tport if tport == 0 else gauge[tail](tport)
-            ph = hport if hport == 0 else gauge[head](hport)
-            tokens.append(f"{d}{p}>{num[peer]}:{pt}.{ph}:{gl.images}w{nw}")
-    return ";".join(tokens)
+            pt = tport if tport == 0 else g_tail[tport - 1]
+            ph = hport if hport == 0 else g_head[hport - 1]
+            yield f"{d}{p}>{num[peer]}:{pt}.{ph}:{gl}w{nw}"
 
 
 def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     """Canonical string of the graph part modulo vertex twists over H,
     coboundaries, and port-graph isomorphism: per component the minimum
-    gauge-fixed BFS serialization over every (start vertex, root twist)."""
+    gauge-fixed BFS serialization over every (start vertex, root twist).
+
+    The minimum is kept as one running string per component; each
+    candidate serialization stops as soon as its ";"-joined prefix sorts
+    above it (`diagrams._join_below`), so the result is the same string as
+    serializing every candidate in full and taking `min`."""
     g = cd._g
     verts, out_at, in_at = _skeleton(g)
     if not verts:
         return ""
     adj = {v: set() for v in verts}
-    for (v, _p), (tail, _tp, head, _hp, _l, _w) in out_at.items():
+    for (v, _p), (tail, _tp, head, _hp, _l, _li, _w) in out_at.items():
         adj[tail].add(head)
         adj[head].add(tail)
     comps, left = [], set(verts)
@@ -355,14 +392,15 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
                     stack.append(x)
         left -= comp
         comps.append(sorted(comp))
-    elems = sorted(subgroup.elements)
+    roots = [(h.images, h.inverse().images) for h in sorted(subgroup.elements)]
     comp_strs = []
     for comp in comps:
-        best = min(
-            _gauge_serialize(g.n, verts, out_at, in_at, comp, start, h0)
-            for start in comp
-            for h0 in elems
-        )
+        best = None
+        for start in comp:
+            for root in roots:
+                s = _join_below(_gauge_tokens(g.n, verts, out_at, in_at, start, root), best)
+                if s is not None:
+                    best = s
         comp_strs.append(best)
     return "#".join(sorted(comp_strs))
 

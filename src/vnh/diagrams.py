@@ -239,20 +239,25 @@ class _Graph:
 
     def canon_from(self, seeds, with_weights):
         """BFS canonical string and vertex order from ordered seed vertices."""
-        num, order, phi = {}, [], {}
+        order = []
+        return ";".join(self._canon_tokens(seeds, with_weights, order)), order
+
+    def _canon_tokens(self, seeds, with_weights, order):
+        """Tokens of the BFS canonical string from ordered seed vertices,
+        appending each vertex to `order` as it is numbered."""
+        num, phi = {}, {}
         for s in seeds:
             if s not in num:
                 num[s] = len(num)
                 order.append(s)
                 phi[s] = 0
-        tokens = []
         qi = 0
         while qi < len(order):
             v = order[qi]
             qi += 1
             kind = self.kind[v]
             lab = self.label.get(v)
-            tokens.append(_KIND_CHAR[kind] + ("" if lab is None else str(lab.images)))
+            yield _KIND_CHAR[kind] + ("" if lab is None else str(lab.images))
             for d, p in _scan_ports(kind, self.n):
                 eid = self.in_at[(v, p)] if d == "i" else self.out_at[(v, p)]
                 tail, tport, head, hport, w = self.edges[eid]
@@ -263,21 +268,24 @@ class _Graph:
                     phi[peer] = phi[v] + w if d == "o" else phi[v] - w
                 if with_weights:
                     nw = w + phi[tail] - phi[head]
-                    tokens.append(f"{d}{p}>{num[peer]}.{peerport}w{nw}")
+                    yield f"{d}{p}>{num[peer]}.{peerport}w{nw}"
                 else:
-                    tokens.append(f"{d}{p}>{num[peer]}.{peerport}")
-        return ";".join(tokens), order
+                    yield f"{d}{p}>{num[peer]}.{peerport}"
 
     def closed_canonical(self):
         """Canonical (string, vertex order) for a source-free graph: per
         component the minimum BFS serialization over all start vertices,
-        with winding weights normalized to zero on the BFS tree."""
+        with winding weights normalized to zero on the BFS tree.  Each
+        serialization stops once it sorts above the running minimum
+        (`_join_below`); a tie keeps the earlier start's order."""
         results = []
         for comp in self.components():
             best = None
             for start in sorted(comp):
-                s, order = self.canon_from([start], with_weights=True)
-                if best is None or s < best[0]:
+                order = []
+                bound = None if best is None else best[0]
+                s = _join_below(self._canon_tokens([start], True, order), bound)
+                if s is not None:
                     best = (s, order)
             results.append(best)
         results.sort(key=lambda t: t[0])
@@ -309,6 +317,36 @@ class _Graph:
             if not changed:
                 return True
         return not any(dist[u] + w < dist[v] for u, v, w in arcs)
+
+
+def _join_below(tokens, best):
+    """``";".join(tokens)`` if it sorts strictly below ``best`` (always when
+    ``best`` is None), else None.
+
+    Each piece (the token, preceded by ";" after the first) is compared with
+    the slice of ``best`` at the same offset, and no further token is drawn
+    once the join so far sorts above ``best``.  The order is that of the
+    joined strings, not of the token sequences: "w1" is a prefix of "w12",
+    yet "w12" < "w1;..." because ";" sorts after the digits.
+    """
+    if best is None:
+        return ";".join(tokens)
+    out = []
+    pos = 0
+    tied = True
+    for tok in tokens:
+        if tied:
+            piece = ";" + tok if out else tok
+            if best.startswith(piece, pos):
+                pos += len(piece)
+            elif piece > best[pos : pos + len(piece)]:
+                return None
+            else:
+                tied = False
+        out.append(tok)
+    if tied and pos == len(best):
+        return None
+    return ";".join(out)
 
 
 def _loop_token(record):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -218,3 +219,40 @@ def test_stdin_input(files, capsys, monkeypatch):
     assert main(["reduce", "-"]) == 0
     out = capsys.readouterr().out
     assert element_from_json(out).key() == element_from_json(IDENT).key()
+
+
+_BAD_ELEMENT = {"n": 2, "H": [], "domain": "*", "range": "*", "tau": [1], "labels": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "args, element",
+    [
+        (["census", "--n", "2", "--H", "5", "--p", "3"], None),
+        (["census", "--n", "2", "--H", "[1]", "--p", "3"], None),
+        (["parse", "-"], {**_BAD_ELEMENT, "tau": 5}),
+        (["parse", "-"], {**_BAD_ELEMENT, "labels": [5]}),
+        (["parse", "-"], {**_BAD_ELEMENT, "domain": 5}),
+    ],
+    ids=["H-int", "H-int-list", "tau-int", "labels-int-list", "domain-int"],
+)
+def test_mistyped_json_fields_exit_2_without_traceback(args, element):
+    proc = subprocess.run(
+        [sys.executable, "-m", "vnh.cli", *args],
+        input="" if element is None else json.dumps(element),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+_CLOSE_DATA = pathlib.Path(__file__).parent / "data" / "close"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in _CLOSE_DATA.glob("*.json")))
+def test_close_dot_trace_matches_golden(name, capsys):
+    # Guards the closed canonical vertex order and the DOT output.
+    assert main(["close", "--dot", "--trace", str(_CLOSE_DATA / f"{name}.json")]) == 0
+    assert capsys.readouterr().out == (_CLOSE_DATA / f"{name}.txt").read_text()

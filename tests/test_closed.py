@@ -1,4 +1,6 @@
+import functools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -18,15 +20,21 @@ from vnh.closed import (
     closure_invariant,
     conjugacy_invariant,
     conjugating_equivalent,
+    gauge_canonical,
     is_torsion,
     reduce_closed,
     reduced_closure,
     torsion_order,
 )
 from vnh.diagrams import (
+    MERGE,
     SIGMA,
+    SPLIT,
     DiagramError,
     _Graph,
+    _join_below,
+    _loop_token,
+    _scan_ports,
     _tree_pair_graph,
     build_diagram,
     identity_diagram,
@@ -609,3 +617,279 @@ def test_sigma_cycle_label_is_least_rotation_composite(data):
         composites.append(comp)
     assert g.free_loops == [(sum(weights), min(composites))]
     assert not g.kind and not g.edges
+
+
+# -- gauge canonical form ------------------------------------------------------
+#
+# The gauge serializer and canonical form that `gauge_canonical` replaced,
+# kept verbatim as the reference: every (start vertex, root twist) is
+# serialized in full and the least string kept.
+
+
+def _reference_skeleton(g):
+    """Smooth sigma-vertices into edge labels on the split/merge skeleton."""
+    verts = {v: k for v, k in g.kind.items() if k in (SPLIT, MERGE)}
+    out_at, in_at = {}, {}
+    for (v, p), eid in g.out_at.items():
+        if v not in verts:
+            continue
+        lab = Perm.identity(g.n)
+        w = 0
+        cur = eid
+        while True:
+            _, _, head, hport, wt = g.edges[cur]
+            w += wt
+            if g.kind[head] == SIGMA:
+                lab = g.label[head] * lab
+                cur = g.out_at[(head, 1)]
+            else:
+                edge = (v, p, head, hport, lab, w)
+                out_at[(v, p)] = edge
+                in_at[(head, hport)] = edge
+                break
+    return verts, out_at, in_at
+
+
+def _reference_gauge_serialize(n, verts, out_at, in_at, comp, start, h0):
+    gauge = {start: h0}
+    phi = {start: 0}
+    num = {start: 0}
+    order = [start]
+    tokens = []
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        gv_inv = gauge[v].inverse()
+        tokens.append(verts[v][0])
+        for d, p in _scan_ports(verts[v], n):
+            pre = p if p == 0 else gv_inv(p)
+            tail, tport, head, hport, lab, w = (
+                out_at[(v, pre)] if d == "o" else in_at[(v, pre)]
+            )
+            peer = head if d == "o" else tail
+            if peer not in gauge:
+                if d == "o":
+                    gauge[peer] = gauge[v] * lab.inverse()
+                    phi[peer] = phi[v] + w
+                else:
+                    gauge[peer] = gauge[v] * lab
+                    phi[peer] = phi[v] - w
+                num[peer] = len(order)
+                order.append(peer)
+            gl = gauge[head] * lab * gauge[tail].inverse()
+            nw = w + phi[tail] - phi[head]
+            pt = tport if tport == 0 else gauge[tail](tport)
+            ph = hport if hport == 0 else gauge[head](hport)
+            tokens.append(f"{d}{p}>{num[peer]}:{pt}.{ph}:{gl.images}w{nw}")
+    return ";".join(tokens)
+
+
+def _reference_gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
+    """Canonical string of the graph part modulo vertex twists over H,
+    coboundaries, and port-graph isomorphism: per component the minimum
+    gauge-fixed BFS serialization over every (start vertex, root twist)."""
+    g = cd._g
+    verts, out_at, in_at = _reference_skeleton(g)
+    if not verts:
+        return ""
+    adj = {v: set() for v in verts}
+    for (v, _p), (tail, _tp, head, _hp, _l, _w) in out_at.items():
+        adj[tail].add(head)
+        adj[head].add(tail)
+    comps, left = [], set(verts)
+    while left:
+        v0 = min(left)
+        comp, stack = {v0}, [v0]
+        while stack:
+            u = stack.pop()
+            for x in adj[u]:
+                if x not in comp:
+                    comp.add(x)
+                    stack.append(x)
+        left -= comp
+        comps.append(sorted(comp))
+    elems = sorted(subgroup.elements)
+    comp_strs = []
+    for comp in comps:
+        best = min(
+            _reference_gauge_serialize(g.n, verts, out_at, in_at, comp, start, h0)
+            for start in comp
+            for h0 in elems
+        )
+        comp_strs.append(best)
+    return "#".join(sorted(comp_strs))
+
+
+def _reference_closed_canonical(g):
+    """`_Graph.closed_canonical` before the prefix bound: every start
+    serialized in full, the least string kept (the first on a tie)."""
+    results = []
+    for comp in g.components():
+        best = None
+        for start in sorted(comp):
+            s, order = g.canon_from([start], with_weights=True)
+            if best is None or s < best[0]:
+                best = (s, order)
+        results.append(best)
+    results.sort(key=lambda t: t[0])
+    strings = [t[0] for t in results]
+    order = [v for t in results for v in t[1]]
+    loops = ",".join(sorted(_loop_token(r) for r in g.free_loops))
+    return "#".join(strings) + "||" + loops, order
+
+
+def _power(g, k):
+    p = g
+    for _ in range(k - 1):
+        p = compose(p, g)
+    return p
+
+
+def _with_windings(cd, rng):
+    """cd with 0, 1, 10 or 12 added to each edge weight: the same graph with
+    irregular windings, still positive on every loop, whose normalized
+    weights run to two digits and go negative."""
+    g = cd._g.copy()
+    for rec in g.edges.values():
+        rec[4] += rng.choice((0, 1, 10, 12))
+    return ClosedDiagram(g)
+
+
+# (n, H, max carets) of the random closures checked against the reference.
+GAUGE_GROUPS = {
+    "V2(Id)": (2, Subgroup.trivial(2), 6),
+    "V2(Z2)": (2, Subgroup.symmetric(2), 5),
+    "V3(S3)": (3, Subgroup.symmetric(3), 4),
+    "V4(S4)": (4, Subgroup.symmetric(4), 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _gauge_corpus():
+    """(closure, H) pairs: 300 random reduced closures per bench group; the
+    heavy strata, 8 closures each of V4(S4) with exactly 3, 4 and 5 carets
+    and V3(S3) with 6; and 12 high powers per group with a graph part, each
+    also with irregular windings (`_with_windings`)."""
+    rng = random.Random(20261019)
+    corpus = []
+    for n, h, max_carets in GAUGE_GROUPS.values():
+        corpus += [(reduced_closure(random_element(n, h, rng, max_carets)), h) for _ in range(300)]
+    for n, h, carets in [(4, GAUGE_GROUPS["V4(S4)"][1], c) for c in (3, 4, 5)] + [
+        (3, GAUGE_GROUPS["V3(S3)"][1], 6)
+    ]:
+        found = 0
+        while found < 8:
+            g = random_element(n, h, rng, carets)
+            if g.k == 1 + carets * (n - 1):
+                corpus.append((reduced_closure(g), h))
+                found += 1
+    for n, h, _ in GAUGE_GROUPS.values():
+        found = 0
+        while found < 12:
+            g = random_element(n, h, rng, 2)
+            cd = reduced_closure(_power(g, rng.randrange(3, 13) if n == 2 else 3))
+            if cd.has_graph_part():
+                corpus += [(cd, h), (_with_windings(cd, rng), h)]
+                found += 1
+    return corpus
+
+
+def test_gauge_canonical_matches_reference(monkeypatch):
+    serialize = _reference_gauge_serialize
+    candidates = {}
+
+    def recording(n, verts, out_at, in_at, comp, start, h0):
+        s = serialize(n, verts, out_at, in_at, comp, start, h0)
+        candidates.setdefault(tuple(comp), []).append(s)
+        return s
+
+    monkeypatch.setitem(globals(), "_reference_gauge_serialize", recording)
+    corpus = _gauge_corpus()
+    assert len(corpus) >= 1000 + 32
+    strings = []
+    token_order_differs = 0
+    for cd, h in corpus:
+        candidates.clear()
+        expected = _reference_gauge_canonical(cd, h)
+        assert gauge_canonical(cd, h) == expected
+        strings.append(expected)
+        # A token-wise minimum would have picked another string here.
+        token_order_differs += any(
+            min(c) != min(c, key=lambda s: s.split(";")) for c in candidates.values()
+        )
+    assert any("#" in s for s in strings)  # multi-component graph parts
+    assert any(re.search(r"w-?\d\d", s) for s in strings)
+    assert any("w-" in s for s in strings)
+    assert token_order_differs > 0
+
+
+def test_closed_canonical_matches_reference():
+    for cd, _h in _gauge_corpus():
+        assert cd._g.closed_canonical() == _reference_closed_canonical(cd._g)
+
+
+def test_join_below_orders_joined_strings_not_tokens():
+    # "w1" is a prefix of "w12", so token by token ["w1", "x"] < ["w12"];
+    # joined, ";" sorts after "2", so "w12" < "w1;x".
+    assert ["w1", "x"] < ["w12"]
+    assert "w12" < "w1;x"
+    assert _join_below(iter(["w12"]), "w1;x") == "w12"
+    assert _join_below(iter(["w1", "x"]), "w12") is None
+    assert _join_below(iter(["w1", "x"]), None) == "w1;x"
+    # Equal strings are not below; a proper prefix is.
+    assert _join_below(iter(["a", "b"]), "a;b") is None
+    assert _join_below(iter(["a"]), "a;b") == "a"
+    assert _join_below(iter(["a", "b", "c"]), "a;b") is None
+
+
+def test_join_below_stops_at_the_first_larger_piece():
+    def tokens(first):
+        yield "m"
+        yield first
+        raise AssertionError("drew a token after the join passed the bound")
+
+    assert _join_below(tokens("i1>2"), "m;i1>1;o0>0") is None
+    assert _join_below(tokens("i1>1;o0>0x"), "m;i1>1;o0>0") is None
+
+
+def _twist(cd, twists):
+    """cd with each split or merge v in `twists` twisted by a = twists[v]:
+    a inserted on every in-edge and a^-1 on every out-edge of v, as new
+    sigma-vertices, and the ports >= 1 of v permuted by a."""
+    g = cd._g.copy()
+    for v, a in twists.items():
+        if a.is_identity():
+            continue
+        eids = {eid for (u, _p), eid in g.out_at.items() if u == v}
+        eids |= {eid for (u, _p), eid in g.in_at.items() if u == v}
+        records = [list(g.edges[eid]) for eid in sorted(eids)]
+        for eid in eids:
+            g.del_edge(eid)
+        for tail, tport, head, hport, w in records:
+            if tail == v:
+                sigma = g.new_vertex(SIGMA, a.inverse())
+                g.add_edge(v, a(tport) if tport else 0, sigma, 0, 0)
+                tail, tport = sigma, 1
+            if head == v:
+                sigma = g.new_vertex(SIGMA, a)
+                g.add_edge(sigma, 1, v, a(hport) if hport else 0, 0)
+                head, hport = sigma, 0
+            g.add_edge(tail, tport, head, hport, w)
+    return ClosedDiagram(g)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+@settings(max_examples=500, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_gauge_canonical_is_invariant_under_twists_and_coboundary(name, rng):
+    n, h, max_carets = CLOSURE_GROUPS[name]
+    cd = reduced_closure(random_element(n, h, rng, max_carets=max_carets))
+    elems = sorted(h.elements)
+    skeleton = [v for v, kind in cd._g.kind.items() if kind in (SPLIT, MERGE)]
+    twists = {v: rng.choice(elems) for v in skeleton if rng.random() < 0.6}
+    twisted = _twist(cd, twists)
+    potential = {v: rng.randint(-3, 3) for v in twisted._g.kind}
+    moved = add_coboundary(twisted, potential)
+    assert gauge_canonical(moved, h) == gauge_canonical(cd, h)
+    assert closure_invariant(moved, h) == closure_invariant(cd, h)
