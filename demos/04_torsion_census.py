@@ -7,8 +7,8 @@ solution classes of a congruence mod n-1 over the transitive-space sizes.
 For prime p dividing neither n-1 nor ord(H), the order-p elements of
 V_n(H) fall into exactly n conjugacy classes -- so V_n and V_m with n != m
 cannot be isomorphic.  The census below reproduces the count two ways:
-from the congruence, and by brute-force enumeration plus the conjugacy
-decision procedure.
+from the congruence, and by brute-force enumeration, bucketing each
+order-p element by the free-loop invariant of the conjugacy decision.
 """
 
 from vnh import (

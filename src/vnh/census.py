@@ -18,8 +18,11 @@ a depth-first search assigns each domain leaf a (range leaf, label) and
 abandons a partial assignment as soon as one of the order test's probes,
 all of whose leaves are assigned, fails; a candidate is tested for
 reduction only once every probe has passed.  A reduced order-p candidate
-is closed straight from its triples, and a `TreePairElement` is built only
-for the first candidate of each class, the representative it reports.
+is bucketed by the loop records of the permutation it induces on an
+invariant prefix code, read off its triples with no diagram built (a
+torsion element's reduced closure is free loops alone, refinement
+equivalent to these records), and a `TreePairElement` is built only for
+the first candidate of each class, the representative it reports.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closed import _closure_of_triples, closure_invariant
+from .closed import _loop_class
 from .elements import (
     TreePairElement,
     _check_compatible,
@@ -37,7 +40,7 @@ from .elements import (
     _shape_blocks,
     reduced_elements,
 )
-from .perms import Subgroup
+from .perms import Perm, Subgroup
 
 
 @dataclass(frozen=True)
@@ -292,22 +295,78 @@ def _order_p_candidates(n, subgroup, p, max_leaves):
                 yield dom, ran, tau, tuple(elems[i] for i in label_idx), triple_by_dom
 
 
+def _torsion_loop_records(n, triple_by_dom):
+    """Loop records [(L, s), ...] of a torsion element given as {domain
+    address: (range address, label)}: one per cycle of the permutation g
+    induces on a finite complete prefix code whose words g maps onto words
+    of the code.  The cycle c_0 -> ... -> c_{L-1} -> c_0, with local labels
+    g(c_i w) = c_{i+1} l_i(w), gives L and s = l_{L-1} * ... * l_0, the
+    return map g^L(c_0 w) = c_0 s(w); these are the free loops of the
+    reduced closure, up to the refinement `closed._loop_class` quotients.
+
+    The code starts as the domain leaves and is refined until it is
+    invariant: a word c whose image lies above several code words is
+    split, and so is a code word that lies strictly above g(c).
+
+    Precondition: g has finite order (the census calls this only on
+    order-p candidates).  On an element of infinite order no finite
+    invariant code exists and the refinement does not end.
+    """
+    code = dict(triple_by_dom)  # code word -> (image, local label)
+
+    def split(u):
+        d, lab = code.pop(u)
+        img = lab.images
+        for c in range(1, n + 1):
+            code[u + (c,)] = (d + (img[c - 1],), lab)
+
+    stable = False
+    while not stable:
+        stable = True
+        for c in list(code):
+            if c not in code:
+                continue
+            d = code[c][0]
+            if d in code:
+                continue
+            stable = False
+            above = next((d[:k] for k in range(len(d)) if d[:k] in code), None)
+            split(c if above is None else above)
+    records, seen = [], set()
+    for c in code:
+        if c in seen:
+            continue
+        length, s = 0, Perm.identity(n)
+        while c not in seen:
+            seen.add(c)
+            c, lab = code[c]
+            s = lab * s
+            length += 1
+        records.append((length, s))
+    return records
+
+
 def class_census_experiment(
     n: int, subgroup: Subgroup, p: int, max_leaves: int, report_lines=None
 ) -> int:
     """Enumerate the reduced elements of order exactly p with at most
     max_leaves leaves, bucket them by conjugacy invariant, and return the
     class count (at most n, and equal to n once max_leaves realizes every
-    class).  Also asserts the reduced closure of every such element has no
-    sigma-vertices, which holds whenever p does not divide ord(H).
+    class).
 
     Every (domain, range) shape block is searched, and the order-p
     candidates come out in the order of `reduced_elements`, so each class
     keeps the same first representative.  The search prunes a partial
     assignment as soon as one of its probes fails (`_order_p_candidates`),
-    reduction is tested only on the order-p candidates, each reduced one is
-    closed straight from its triples, and an element is built only for the
-    first of each class, its representative."""
+    and reduction is tested only on the order-p candidates.  A reduced one
+    is torsion, so its reduced closure is free loops alone, one per cycle of
+    the permutation it induces on an invariant prefix code: the census reads
+    those records off the triples (`_torsion_loop_records`) and keys the
+    element by ("", `_loop_class` of them), which is what
+    `closed.closure_invariant` gives on that closure.  Since p does not
+    divide ord(H), every record must be (1, id) or (p, id), and the census
+    asserts so.  An element is built only for the first of each class, its
+    representative."""
     _check_arity(n)
     _check_prime(p)
     if (n - 1) % p == 0:
@@ -320,13 +379,14 @@ def class_census_experiment(
         # an unreduced candidate is dropped.
         if _collapse_once(n, triple_by_dom):
             continue
-        cd = _closure_of_triples(n, triple_by_dom)
-        if cd.has_graph_part() and cd.sigma_vertex_count() > 0:
+        records = _torsion_loop_records(n, triple_by_dom)
+        if any(w not in (1, p) or not s.is_identity() for w, s in records):
             raise AssertionError(
-                "order-p element with p coprime to ord(H) has a sigma-vertex "
-                "in its reduced closure"
+                "order-p element with p coprime to ord(H) has a loop record "
+                "other than (1, id) or (p, id)"
             )
-        key = closure_invariant(cd, subgroup)
+        # gauge_canonical of a closure with no graph part is "".
+        key = ("", _loop_class(records, subgroup))
         if key not in classes:
             classes[key] = TreePairElement(n, subgroup, dom, ran, tau, labels)
     reps = list(classes.values())

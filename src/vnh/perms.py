@@ -139,7 +139,9 @@ class Subgroup:
     __slots__ = ("n", "generators", "elements", "_class_rep", "_refinements", "_loop_classes")
 
     def __init__(self, n: int, generators=()):
-        generators = tuple(generators)
+        # Repeated generators are dropped, keeping the first of each; for
+        # n = 2 the swap and the cycle of `symmetric` coincide.
+        generators = tuple(dict.fromkeys(generators))
         for g in generators:
             if g.n != n:
                 raise ValueError(f"generator arity {g.n} != {n}")

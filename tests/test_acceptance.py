@@ -245,12 +245,13 @@ def test_acceptance_6_order_p_class_count():
 def test_acceptance_7_torsion_closures_sigma_free():
     t0 = time.time()
     h = Subgroup.symmetric(2)
-    # class_census_experiment raises if any order-3 element's reduced closure
-    # carries a sigma-vertex (Prop 5.1-style assertion built in).
+    # class_census_experiment raises unless every loop record of every
+    # order-3 element is (1, id) or (3, id): its reduced closure is free
+    # loops with identity labels (Prop 5.1-style assertion built in).
     classes = class_census_experiment(2, h, 3, 5)
     assert classes == 2
-    report(7, f"all order-3 elements of V2(Z2) with <=5 leaves have sigma-free "
-              f"closures; {classes} classes found in {time.time()-t0:.1f}s")
+    report(7, f"all order-3 elements of V2(Z2) with <=5 leaves have loop records "
+              f"(1, id) or (3, id) only; {classes} classes found in {time.time()-t0:.1f}s")
 
 
 def test_acceptance_8_nonisomorphism_witness():

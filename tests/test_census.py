@@ -10,16 +10,25 @@ from vnh.census import (
     _order_exactly,
     _order_p_candidates,
     _prober,
+    _torsion_loop_records,
     class_census_experiment,
     count_congruence_solutions,
     count_order_p_classes,
     nonisomorphism_witness,
     oracle_conjugate,
 )
-from vnh.closed import _closure_of_triples, are_conjugate, closure_invariant, reduced_closure
+from vnh.closed import (
+    _closure_of_triples,
+    _loop_class,
+    are_conjugate,
+    closure_invariant,
+    reduced_closure,
+)
 from vnh.elements import (
     TreePairElement,
     _candidates,
+    _collapse_once,
+    _reduce_triples,
     compose,
     element_from_triples,
     element_order,
@@ -328,7 +337,7 @@ def _reference_census(n, h, p, max_leaves):
             continue
         hits.append(g.key())
         cd = reduced_closure(g)
-        assert not (cd.has_graph_part() and cd.sigma_vertex_count() > 0)
+        assert not cd.has_graph_part()
         classes.setdefault(closure_invariant(cd, h), g)
     lines = [
         f"class {k}: representative = {element_to_json(rep)}"
@@ -356,15 +365,15 @@ def _triples_key(n, h, triple_by_dom):
     ids=["V2(Id)-p2", "V2(Id)-p3", "V2(Z2)-p3", "V3(Id)-p5", "V4(Id)-p2"],
 )
 def test_census_matches_element_level_reference(monkeypatch, n, h, p, max_leaves):
-    # The census closes only reduced order-p candidates, straight from their
-    # triples: record the elements it closes.
+    # The census reads loop records only off reduced order-p candidates,
+    # straight from their triples: record the elements it reads.
     closed = []
 
-    def recording_closure(n, triple_by_dom):
+    def recording_records(n, triple_by_dom):
         closed.append(_triples_key(n, h, triple_by_dom))
-        return _closure_of_triples(n, triple_by_dom)
+        return _torsion_loop_records(n, triple_by_dom)
 
-    monkeypatch.setattr(vnh.census, "_closure_of_triples", recording_closure)
+    monkeypatch.setattr(vnh.census, "_torsion_loop_records", recording_records)
     for leaves in range(1, max_leaves + 1, n - 1):
         lines, hits = _reference_census(n, h, p, leaves)
         got = []
@@ -385,13 +394,91 @@ def test_census_closes_torsion_with_unequal_depth_sums(monkeypatch):
     assert sum(map(len, g.domain_addresses())) != sum(map(len, g.range_addresses()))
     closed = []
 
-    def recording_closure(n, triple_by_dom):
+    def recording_records(n, triple_by_dom):
         closed.append(_triples_key(n, h, triple_by_dom))
-        return _closure_of_triples(n, triple_by_dom)
+        return _torsion_loop_records(n, triple_by_dom)
 
-    monkeypatch.setattr(vnh.census, "_closure_of_triples", recording_closure)
+    monkeypatch.setattr(vnh.census, "_torsion_loop_records", recording_records)
     assert class_census_experiment(2, h, 3, 5) == 2
     assert g.key() in closed
+
+
+@pytest.mark.parametrize(
+    "n,h,p,max_leaves",
+    [
+        (2, Subgroup.trivial(2), 2, 5),
+        (2, Subgroup.trivial(2), 3, 5),
+        (2, Subgroup.symmetric(2), 3, 5),
+        (3, Subgroup.trivial(3), 5, 5),
+        (4, Subgroup.trivial(4), 2, 4),
+    ],
+    ids=["V2(Id)-p2", "V2(Id)-p3", "V2(Z2)-p3", "V3(Id)-p5", "V4(Id)-p2"],
+)
+def test_loop_records_match_the_reduced_closure_on_census_elements(n, h, p, max_leaves):
+    # Every reduced order-p element the census buckets: its reduced closure
+    # is free loops alone, in the loop class of the records read off an
+    # invariant prefix code.
+    read = 0
+    for _, _, _, _, triple_by_dom in _order_p_candidates(n, h, p, max_leaves):
+        if _collapse_once(n, triple_by_dom):
+            continue
+        records = _torsion_loop_records(n, triple_by_dom)
+        cd = _closure_of_triples(n, triple_by_dom)
+        assert not cd.has_graph_part()
+        assert closure_invariant(cd, h) == ("", _loop_class(records, h))
+        read += 1
+    assert read
+
+
+# In V4(Z3), Z3 = <(1 2 3)> fixing 4, a label s != id and its inverse lie
+# in different H-classes and both have a fixed point, so refinement does not
+# identify the records (w, s) and (w, s^-1): a composite read backwards
+# changes the loop class.  In V3(Z3) every such label is fixed-point free
+# and refines to identity labels.
+TORSION_GROUPS = {
+    **ORDER_GROUPS,
+    "V3(Z3)": (3, Subgroup.cyclic(3)),
+    "V4(Z3)": (4, Subgroup(4, [Perm((2, 3, 1, 4))])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_GROUPS))
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_loop_records_match_the_reduced_closure_on_torsion_conjugates(name, rng):
+    # w t w^-1 for a same-tree t with random tau and labels is torsion.
+    n, h = TORSION_GROUPS[name]
+    elems = sorted(h.elements)
+    leaves = 1 + rng.randrange(4) * (n - 1)
+    tree = random_tree(n, leaves, rng)
+    tau = rng.sample(range(1, leaves + 1), leaves)
+    t = TreePairElement(n, h, tree, tree, tuple(tau), tuple(rng.choice(elems) for _ in tau))
+    w = random_element(n, h, rng, max_carets=2)
+    g = compose(compose(w, t), invert(w))
+    reduced = _reduce_triples(n, g.triples())
+    records = _torsion_loop_records(n, reduced)
+    cd = _closure_of_triples(n, reduced)
+    assert not cd.has_graph_part()
+    assert closure_invariant(cd, h) == ("", _loop_class(records, h))
+    # Any representative gives records in the same class.
+    unreduced = {a: (b, lab) for a, b, lab in g.triples()}
+    assert _loop_class(_torsion_loop_records(n, unreduced), h) == _loop_class(records, h)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [(3, Perm.identity(2)), (1, Perm((2, 1)))],
+        [(1, Perm.identity(2)), (2, Perm.identity(2))],
+    ],
+    ids=["non-identity label", "winding 2"],
+)
+def test_census_rejects_loop_records_not_of_order_p(monkeypatch, records):
+    # p = 3 does not divide ord(Z2): every record of an order-3 element is
+    # (1, id) or (3, id), and the census checks that on each one.
+    monkeypatch.setattr(vnh.census, "_torsion_loop_records", lambda n, triple_by_dom: records)
+    with pytest.raises(AssertionError, match="loop record"):
+        class_census_experiment(2, Subgroup.symmetric(2), 3, 3)
 
 
 @pytest.mark.parametrize(

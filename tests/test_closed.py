@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 import re
 from collections import deque
@@ -489,20 +491,26 @@ _BFS_CACHE = {}
 
 
 def _bfs_normal_form(records, subgroup, max_states=6000):
-    """Canonical minimal multiset reachable via loop refinement (both ways)
-    and per-loop H-conjugation, by a deterministic BFS that returns None at
-    its state bound.  A test oracle for `_loop_class`."""
+    """(normal form, cut): the canonical minimal multiset reachable via loop
+    refinement (both ways) and per-loop H-conjugation, by a deterministic
+    BFS whose normal form is None at its state bound, and whether its
+    total-winding cap pruned a move.  A cut search may miss part of the
+    class, so two cut searches can give different normal forms for
+    equivalent records; equal normal forms always mean equivalent records.
+    A test oracle for `_loop_class`."""
     rep = subgroup.class_rep
     start = tuple(sorted((w, rep(label)) for w, label in records))
     if not start:
-        return start
+        return start, False
     if (subgroup, start) in _BFS_CACHE:
         return _BFS_CACHE[(subgroup, start)]
     n = subgroup.n
     cap_total = max(12, n * sum(w for w, _ in start) + 4)
     tables = {sig: subgroup.refinement(sig) for sig in {rep(p) for p in subgroup.elements}}
+    cut = False
 
     def moves(state):
+        nonlocal cut
         out = []
         done = set()
         total = sum(x[0] for x in state)
@@ -513,6 +521,8 @@ def _bfs_normal_form(records, subgroup, max_states=6000):
             children = tuple((w * L, cl) for L, cl in tables[label])
             if total - w + sum(x[0] for x in children) <= cap_total:
                 out.append(tuple(sorted(state[:idx] + state[idx + 1 :] + children)))
+            else:
+                cut = True
         max_w = max(x[0] for x in state)
         pool_count = {}
         for item in state:
@@ -549,8 +559,49 @@ def _bfs_normal_form(records, subgroup, max_states=6000):
                 queue.append(nxt)
                 if key(nxt) < key(best):
                     best = nxt
-    _BFS_CACHE[(subgroup, start)] = best
-    return best
+    _BFS_CACHE[(subgroup, start)] = best, cut
+    return best, cut
+
+
+def _periods(records):
+    """Least periods of the points of the return maps the records describe:
+    (w, s) has points of least period w * lcm(sizes) for each nonempty set of
+    orbits of s.  A conjugacy invariant, kept by refinement and relabelling,
+    so records with different period sets are not equivalent."""
+    out = set()
+    for w, s in records:
+        sizes = [len(o) for o in s.orbits()]
+        for k in range(1, len(sizes) + 1):
+            out.update(w * math.lcm(*c) for c in itertools.combinations(sizes, k))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _additive_invariants(subgroup, m):
+    """Every map f from the H-classes to Z/m with f(s) = sum of f(s^|O|)
+    over the orbits O of s: then sum f(label) over the records is kept by
+    relabelling and refinement, so records it tells apart are not
+    equivalent.  Found by trying every map."""
+    reps = sorted({subgroup.class_rep(p) for p in subgroup.elements})
+    found = []
+    for values in itertools.product(range(m), repeat=len(reps)):
+        f = dict(zip(reps, values))
+        if all((f[s] - sum(f[c] for _, c in subgroup.refinement(s))) % m == 0 for s in reps):
+            found.append(f)
+    return found
+
+
+def _separated(a, b, subgroup):
+    """True when a sound invariant tells the records a and b apart: their
+    period sets, or an additive invariant mod m for m up to 6."""
+    if _periods(a) != _periods(b):
+        return True
+    rep = subgroup.class_rep
+    return any(
+        sum(f[rep(s)] for _, s in a) % m != sum(f[rep(s)] for _, s in b) % m
+        for m in range(2, 7)
+        for f in _additive_invariants(subgroup, m)
+    )
 
 
 LOOP_SUBGROUPS = {
@@ -574,15 +625,34 @@ def test_loop_class_matches_bfs_normal_form(name, data):
     h = LOOP_SUBGROUPS[name]
     a = data.draw(_records(h), label="a")
     b = data.draw(_records(h), label="b")
-    nf_a, nf_b = _bfs_normal_form(a, h), _bfs_normal_form(b, h)
+    (nf_a, cut_a), (nf_b, cut_b) = _bfs_normal_form(a, h), _bfs_normal_form(b, h)
     assume(nf_a is not None and nf_b is not None)
-    assert (_loop_class(a, h) == _loop_class(b, h)) == (nf_a == nf_b)
+    if nf_a == nf_b:
+        assert _loop_class(a, h) == _loop_class(b, h)
+    elif not (cut_a or cut_b):
+        assert _loop_class(a, h) != _loop_class(b, h)
+    # The cap cuts nearly every search, so separation is also checked on
+    # invariants that are sound without one.
+    if _separated(a, b, h):
+        assert _loop_class(a, h) != _loop_class(b, h)
     assert _loop_class(nf_a, h) == _loop_class(a, h)
     # Refining one record through the subgroup's table keeps the class.
     i = data.draw(st.integers(0, len(a) - 1), label="refined record")
     w, label = a[i]
     refined = a[:i] + a[i + 1 :] + [(w * L, c) for L, c in h.refinement(label)]
     assert _loop_class(refined, h) == _loop_class(a, h)
+
+
+def test_loop_class_equates_records_whose_common_refinement_exceeds_the_bfs_cap():
+    # Their common forward refinement 3*(2, (1,2,4,3)) + 4*(4, id) has total
+    # winding 22, above the reference BFS's cap of 20.
+    h = Subgroup.symmetric(4)
+    s, t = Perm((1, 2, 4, 3)), Perm((2, 1, 4, 3))
+    a = [(2, s), (2, s)]
+    b = [(2, s), (2, t)]
+    assert _loop_class(a, h) == _loop_class(b, h)
+    (nf_a, cut_a), (nf_b, cut_b) = _bfs_normal_form(a, h), _bfs_normal_form(b, h)
+    assert nf_a != nf_b and cut_a and cut_b
 
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vnh.elements import random_element, reduce_element
@@ -23,6 +25,13 @@ def test_subgroup_presets():
     assert subgroup_from_spec(3, "sym").order == 6
     assert subgroup_from_spec(2, [[2, 1]]) == Subgroup.symmetric(2)
     assert subgroup_from_spec(3, "[[2, 3, 1]]") == Subgroup.cyclic(3)
+
+
+def test_symmetric_h_at_n2_prints_one_generator():
+    # For n = 2 the swap and the cycle generator of Sym(2) are one permutation.
+    text = '{"n": 2, "H": "sym", "domain": "*", "range": "*", "tau": [1], "labels": [[2, 1]]}'
+    assert json.loads(element_to_json(element_from_json(text)))["H"] == [[2, 1]]
+    assert Subgroup.symmetric(2).generators == (Perm((2, 1)),)
 
 
 def test_errors_name_offending_field():
