@@ -12,17 +12,19 @@ n whenever p divides neither n-1 nor ord(P) — the engine computes it from
 the congruence, never from the closed form; its signatures are counted
 directly, never by enumerating tuples.
 
-The census runs on the triple view of tree-pair candidates, not on
-elements, and searches every (domain, range) shape block.  Within a block
-a depth-first search assigns each domain leaf a (range leaf, label) and
+The oracle and the census run on the triple view of tree-pair candidates,
+{domain address: (range address, label)}: the oracle composes and reduces
+no element, and the census builds one only for each class representative.
+The census searches every (domain, range) shape block.  Within a block a
+depth-first search assigns each domain leaf a (range leaf, label) and
 abandons a partial assignment as soon as one of the order test's probes,
 all of whose leaves are assigned, fails; a candidate is tested for
 reduction only once every probe has passed.  A reduced order-p candidate
 is bucketed by the loop records of the permutation it induces on an
 invariant prefix code, read off its triples with no diagram built (a
 torsion element's reduced closure is free loops alone, refinement
-equivalent to these records), and a `TreePairElement` is built only for
-the first candidate of each class, the representative it reports.
+equivalent to these records), and the first candidate of each class is
+the representative it reports.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ from .elements import (
     _check_compatible,
     _collapse_once,
     _compose_triples,
+    _invert_triples,
+    _is_identity,
     _reduce_triples,
     _shape_blocks,
+    element_from_triples,
     reduced_elements,
 )
 from .perms import Perm, Subgroup
@@ -58,13 +63,12 @@ class CongruenceInstance:
             raise ValueError("space sizes must be positive")
 
 
-def count_congruence_solutions(inst: CongruenceInstance, bound: int | None = None) -> int:
+def count_congruence_solutions(inst: CongruenceInstance) -> int:
     """Number of solution classes of the (starred) congruence.
 
-    Tuples (n_1, ..., n_t) with 0 <= n_i <= bound are classified by their
+    Tuples (n_1, ..., n_t) of non-negative integers are classified by their
     (residue mod n-1, is-zero) signature; classes whose members satisfy the
-    congruence are counted once.  Any bound >= 2(n-1) realizes every class,
-    and a smaller bound is raised to 2(n-1), so the count never depends on it.
+    congruence are counted once.
 
     The signatures are counted directly rather than enumerated through
     tuples: per variable, zero or a nonzero residue r mod n-1.  Whether a
@@ -96,6 +100,7 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
     """
     _check_arity(n)
     _check_prime(p)
+    _check_positive(ord_p, "group order")
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
     if ord_p % p == 0:
@@ -107,6 +112,11 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
 def _check_arity(n: int):
     if n < 2:
         raise ValueError("arity must be >= 2")
+
+
+def _check_positive(value: int, what: str):
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
 
 
 def _is_prime(k: int) -> bool:
@@ -129,6 +139,8 @@ def nonisomorphism_witness(n: int, m: int, ord_p: int, ord_q: int) -> int:
         raise ValueError("need two different arities")
     if n < 2 or m < 2:
         raise ValueError("arities must be >= 2")
+    _check_positive(ord_p, "group order")
+    _check_positive(ord_q, "group order")
     for p in _primes():
         if all(x % p for x in (ord_p, ord_q, n - 1, m - 1)):
             return p
@@ -140,24 +152,20 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     (inconclusive -- the oracle is one-sided, silence is not a verdict).
 
     The search runs in the triple view: g is reduced once, and for each
-    candidate h the triples of h^-1 f h are composed by merge and collapsed
-    without building a tree or an element; reduced triple sets are equal
-    exactly when the reduced elements' keys are."""
+    candidate h of `reduced_elements` the triples of h^-1 f h are composed
+    by merge and collapsed without building a tree or an element; reduced
+    triples are equal exactly when the homeomorphisms are."""
     _check_compatible(f, g)
+    _check_positive(max_leaves, "leaf bound")
     n = f.n
     target = _reduce_triples(n, g.triples())
     f_triples = f.triples()
     for h in reduced_elements(n, f.subgroup, max_leaves):
         h_triples = h.triples()
-        h_inv = [(b, a, lab.inverse()) for a, b, lab in h_triples]
-        conj = _compose_triples(_compose_triples(h_inv, f_triples), h_triples)
+        conj = _compose_triples(_compose_triples(_invert_triples(h_triples), f_triples), h_triples)
         if _reduce_triples(n, conj) == target:
             return h
     return None
-
-
-def _is_identity(triple_by_dom) -> bool:
-    return all(a == b and lab.is_identity() for a, (b, lab) in triple_by_dom.items())
 
 
 def _prober(n, dom, p):
@@ -225,8 +233,9 @@ def _order_exactly(n, triple_by_dom, p) -> bool:
 
 
 def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
-    """Every (tau, label indices, triple dict) of one shape block whose
-    probes all return True, sorted by (tau, label indices).
+    """Every triple dict of one shape block whose probes all return True, in
+    domain-leaf order, sorted by (tau, label indices): the order of
+    `elements._candidates`.
 
     A depth-first search assigns each domain leaf a (range leaf, label).
     A probe's verdict depends only on the leaves it reads, so a probe that
@@ -277,7 +286,7 @@ def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
 
     extend({a: a for a in dom_addrs}, dom_addrs[0])
     found.sort(key=lambda t: t[:2])
-    return found
+    return [triple_by_dom for _, _, triple_by_dom in found]
 
 
 def _order_p_candidates(n, subgroup, p, max_leaves):
@@ -286,13 +295,11 @@ def _order_p_candidates(n, subgroup, p, max_leaves):
     orbit-pruned search per shape block (`_block_passing_probes`) instead
     of testing every candidate."""
     elems = sorted(subgroup.elements)
-    for dom, dom_addrs, ran, ran_addrs in _shape_blocks(n, max_leaves):
+    for _dom, dom_addrs, _ran, ran_addrs in _shape_blocks(n, max_leaves):
         probe = _prober(n, frozenset(dom_addrs), p)
-        for tau, label_idx, triple_by_dom in _block_passing_probes(
-            probe, dom_addrs, ran_addrs, elems
-        ):
+        for triple_by_dom in _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
             if not _is_identity(triple_by_dom):
-                yield dom, ran, tau, tuple(elems[i] for i in label_idx), triple_by_dom
+                yield triple_by_dom
 
 
 def _torsion_loop_records(n, triple_by_dom):
@@ -369,12 +376,13 @@ def class_census_experiment(
     representative."""
     _check_arity(n)
     _check_prime(p)
+    _check_positive(max_leaves, "leaf bound")
     if (n - 1) % p == 0:
         raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
     if subgroup.order % p == 0:
         raise ValueError(f"p = {p} divides ord(H) = {subgroup.order}")
     classes = {}  # conjugacy invariant -> first element of the class
-    for dom, ran, tau, labels, triple_by_dom in _order_p_candidates(n, subgroup, p, max_leaves):
+    for triple_by_dom in _order_p_candidates(n, subgroup, p, max_leaves):
         # _collapse_once mutates the dict only when it finds a collapse, and
         # an unreduced candidate is dropped.
         if _collapse_once(n, triple_by_dom):
@@ -388,7 +396,7 @@ def class_census_experiment(
         # gauge_canonical of a closure with no graph part is "".
         key = ("", _loop_class(records, subgroup))
         if key not in classes:
-            classes[key] = TreePairElement(n, subgroup, dom, ran, tau, labels)
+            classes[key] = element_from_triples(n, subgroup, triple_by_dom)
     reps = list(classes.values())
     if report_lines is not None:
         from .io import element_to_json

@@ -7,7 +7,8 @@ that counts trips around the annulus.  `reduced_closure`, the entry point
 of the conjugacy decision, skips `close`: it builds the closed diagram of
 an element's reduced tree pair straight from the reduced triples
 (`diagrams._tree_pair_graph`), with the range root's out-edge running
-into the domain root at winding 1, and hands it to `reduce_closed`.
+into the domain root at winding 1, and reduces that fresh graph in place
+by the body of `reduce_closed`, which works on a copy.
 Equality of closed diagrams (`==`,
 `closed_equal`) is equality of the underlying port graph together with that
 cohomology class, decided by spanning-tree normalization inside the
@@ -98,16 +99,6 @@ class ClosedDiagram:
             raise CochainError("winding must be positive on every oriented loop")
         self._g = graph
         self._canon = None
-
-    @classmethod
-    def _trusted(cls, graph: _Graph) -> "ClosedDiagram":
-        """Closed diagram from a graph already known to be valid, without
-        the checks in ``__init__``; `reduced_closure` builds its input this
-        way and `reduce_closed` checks the result."""
-        cd = object.__new__(cls)
-        cd._g = graph
-        cd._canon = None
-        return cd
 
     @classmethod
     def from_loops(cls, n, loops):
@@ -239,7 +230,12 @@ def reduce_closed(cd: ClosedDiagram, *, rng=None, trace=None) -> ClosedDiagram:
     winding check of the `ClosedDiagram` constructor runs once, on the
     result.
     """
-    g = cd._g.copy()
+    return _reduce_closed_graph(cd._g.copy(), rng=rng, trace=trace)
+
+
+def _reduce_closed_graph(g, *, rng=None, trace=None) -> ClosedDiagram:
+    """The body of `reduce_closed` on a closed graph g that it may consume:
+    g is reduced in place and checked once, as the result's graph."""
     _reduce_graph(g, rng=rng, trace=trace)
     _extract_sigma_cycles(g)
     return ClosedDiagram(g)
@@ -376,27 +372,16 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     verts, out_at, in_at = _skeleton(g)
     if not verts:
         return ""
-    adj = {v: set() for v in verts}
-    for (v, _p), (tail, _tp, head, _hp, _l, _li, _w) in out_at.items():
-        adj[tail].add(head)
-        adj[head].add(tail)
-    comps, left = [], set(verts)
-    while left:
-        v0 = min(left)
-        comp, stack = {v0}, [v0]
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in comp:
-                    comp.add(x)
-                    stack.append(x)
-        left -= comp
-        comps.append(sorted(comp))
     roots = [(h.images, h.inverse().images) for h in sorted(subgroup.elements)]
     comp_strs = []
-    for comp in comps:
+    for comp in g.components():
+        # A component holds its splits and merges, joined by sigma chains;
+        # a cycle of sigma-vertices alone has no skeleton.
+        starts = sorted(v for v in comp if v in verts)
+        if not starts:
+            continue
         best = None
-        for start in comp:
+        for start in starts:
             for root in roots:
                 s = _join_below(_gauge_tokens(g.n, verts, out_at, in_at, start, root), best)
                 if s is not None:
@@ -491,7 +476,7 @@ def _closure_of_triples(n, triple_by_dom) -> ClosedDiagram:
     """`reduce_closed` of the closed diagram of a reduced tree pair given
     as {domain address: (range address, label)}, built straight from the
     triples (`diagrams._tree_pair_graph`)."""
-    return reduce_closed(ClosedDiagram._trusted(_tree_pair_graph(n, triple_by_dom, closed=True)))
+    return _reduce_closed_graph(_tree_pair_graph(n, triple_by_dom, closed=True))
 
 
 def reduced_closure(g: TreePairElement) -> ClosedDiagram:
@@ -502,8 +487,8 @@ def reduced_closure(g: TreePairElement) -> ClosedDiagram:
     range root's out-edge runs into the domain root with winding 1.  It
     equals `close(build_diagram(reduce_element(g)))` up to an
     order-preserving renaming of vertex ids, so `reduce_closed` takes the
-    same rewrite steps on it.  The winding check runs once, on the reduced
-    result."""
+    same rewrite steps on it.  The fresh graph is reduced in place, and the
+    winding check runs once, on the reduced result."""
     return _closure_of_triples(g.n, _reduce_triples(g.n, g.triples()))
 
 
@@ -511,9 +496,9 @@ def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):
     """Hashable invariant of a reduced closure: its graph part modulo vertex
     twists over H and coboundary, and the class of its free-loop records
     under relabelling and refinement -- their support closure and their
-    residue modulo the lattice of refinement increments (`_loop_class`)."""
-    records = [(fl.winding, fl.label) for fl in cd.free_loops]
-    return gauge_canonical(cd, subgroup), _loop_class(records, subgroup)
+    residue modulo the lattice of refinement increments (`_loop_class`),
+    read straight off the graph's (winding, label) records."""
+    return gauge_canonical(cd, subgroup), _loop_class(cd._g.free_loops, subgroup)
 
 
 def conjugacy_invariant(g: TreePairElement):
@@ -544,6 +529,6 @@ def torsion_order(g: TreePairElement):
     if cd.has_graph_part():
         return None
     out = 1
-    for fl in cd.free_loops:
-        out = math.lcm(out, fl.winding * fl.label.order())
+    for winding, label in cd._g.free_loops:
+        out = math.lcm(out, winding * label.order())
     return out

@@ -532,8 +532,7 @@ def build_diagram(elem) -> StrandDiagram:
     """(1,1,n)-strand diagram of a tree-pair element: domain tree as splits
     below the source, range tree as merges above the sink, strand i -> tau(i)
     with a sigma-vertex carrying the leaf label when it is not the identity."""
-    triple_by_dom = {a: (b, lab) for a, b, lab in elem.triples()}
-    return StrandDiagram._trusted(_tree_pair_graph(elem.n, triple_by_dom, closed=False))
+    return StrandDiagram._trusted(_tree_pair_graph(elem.n, elem.triples(), closed=False))
 
 
 def cut_diagram(d: StrandDiagram):

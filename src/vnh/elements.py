@@ -11,17 +11,21 @@ expansions; `reduce_element` collapses to the unique fully reduced
 representative, which doubles as the canonical form for equality, hashing
 and enumeration.
 
-Internally most arithmetic runs on the *triple view*: the sorted list of
-(domain leaf address, range leaf address, label) with one entry per leaf.
+Below the element API all arithmetic runs on one *triple view*: the dict
+{domain leaf address: (range leaf address, label)} with one entry per leaf,
+which `TreePairElement.triples()` returns in domain-leaf order.
 Composition walks the range addresses of the first factor and the domain
 addresses of the second in step: both are complete prefix codes in
 lexicographic order, so one merge yields the leaves of their minimal common
 expansion, each with the two triples above it.  Addresses are transported
 through labels letter-wise; that letter-wise relabeling is what makes the
-pulled-back address sets valid trees again.  Elements, with their trees
-and validation, are built only for results: the oracle builds none for its
-intermediate products, the enumeration none for unreduced candidates, and
-the census none but its reduced order-p hits.
+pulled-back address sets valid trees again.  Reduction collapses carets in
+the dict, equality and order compare reduced dicts, and inversion swaps
+each entry.  Elements, with their trees and validation, are built only
+for what a caller receives: the enumeration builds one per reduced element
+it yields, on the shape trees it already holds; the oracle builds none for
+its intermediate products, and the census (`element_from_triples`) only
+its class representatives.
 """
 
 from __future__ import annotations
@@ -86,13 +90,10 @@ class TreePairElement:
         return leaf_addresses(self.range_tree)
 
     def triples(self):
-        """Sorted list of (domain address, range address, label)."""
-        dom = self.domain_addresses()
+        """{domain address: (range address, label)}, in domain-leaf order."""
         ran = self.range_addresses()
-        return [
-            (dom[i], ran[self.tau[i] - 1], self.labels[self.tau[i] - 1])
-            for i in range(self.k)
-        ]
+        labels = self.labels
+        return {a: (ran[j - 1], labels[j - 1]) for a, j in zip(self.domain_addresses(), self.tau)}
 
     def key(self):
         """Hashable identity of the representative (not of the homeomorphism)."""
@@ -114,17 +115,18 @@ class TreePairElement:
         )
 
 
-def element_from_triples(n, subgroup, triples) -> TreePairElement:
-    triples = sorted(triples)
-    dom_addrs = [t[0] for t in triples]
-    ran_addrs = sorted(t[1] for t in triples)
-    ran_index = {a: j for j, a in enumerate(ran_addrs, start=1)}
+def element_from_triples(n, subgroup, triple_by_dom) -> TreePairElement:
+    """The validated element whose triples are {domain address: (range
+    address, label)}."""
+    dom_addrs = sorted(triple_by_dom)
+    ran_addrs = sorted(b for b, _ in triple_by_dom.values())
+    ran_index = {b: j for j, b in enumerate(ran_addrs, start=1)}
+    tau = tuple(ran_index[triple_by_dom[a][0]] for a in dom_addrs)
+    labels = [None] * len(dom_addrs)
+    for b, lab in triple_by_dom.values():
+        labels[ran_index[b] - 1] = lab
     domain_tree = tree_from_addresses(dom_addrs, n)
     range_tree = tree_from_addresses(ran_addrs, n)
-    tau = tuple(ran_index[b] for _, b, _ in triples)
-    labels = [None] * len(triples)
-    for _, b, lab in triples:
-        labels[ran_index[b] - 1] = lab
     return TreePairElement(n, subgroup, domain_tree, range_tree, tau, tuple(labels))
 
 
@@ -158,19 +160,19 @@ def _compose_triples(g_triples, f_triples):
     Sorted by range address, f's range leaves b and g's domain leaves c are
     two complete prefix codes in lexicographic order, so walking them in step
     pairs every leaf w of their minimal common expansion (the longer of b
-    and c) with the two triples above it.  The result is unsorted.
+    and c) with the two triples above it.  The result is a fresh, unsorted dict.
     """
-    fs = sorted(f_triples, key=itemgetter(1))
-    gs = sorted(g_triples, key=itemgetter(0))
-    out = []
+    fs = sorted(f_triples.items(), key=lambda t: t[1][0])
+    gs = sorted(g_triples.items(), key=itemgetter(0))
+    out = {}
     i = j = 0
     while i < len(fs):
-        a, b, s = fs[i]
-        c, d, t = gs[j]
+        a, (b, s) = fs[i]
+        c, (d, t) = gs[j]
         if len(b) >= len(c):
             w = b
             i += 1
-            if len(b) == len(c) or i == len(fs) or fs[i][1][: len(c)] != c:
+            if len(b) == len(c) or i == len(fs) or fs[i][1][0][: len(c)] != c:
                 j += 1
         else:
             w = c
@@ -179,13 +181,7 @@ def _compose_triples(g_triples, f_triples):
                 i += 1
         x = w[len(b):]
         y = w[len(c):]
-        out.append(
-            (
-                a + s.inverse().act_word(x) if x else a,
-                d + t.act_word(y) if y else d,
-                t * s,
-            )
-        )
+        out[a + s.inverse().act_word(x) if x else a] = (d + t.act_word(y) if y else d, t * s)
     return out
 
 
@@ -197,16 +193,14 @@ def compose(g: TreePairElement, f: TreePairElement) -> TreePairElement:
     return element_from_triples(f.n, f.subgroup, _compose_triples(g.triples(), f.triples()))
 
 
+def _invert_triples(triple_by_dom):
+    """Triples of g^-1: g(a w) = b s(w) gives g^-1(b v) = a s^-1(v)."""
+    return {b: (a, lab.inverse()) for a, (b, lab) in triple_by_dom.items()}
+
+
 def invert(g: TreePairElement) -> TreePairElement:
-    """Inverse homeomorphism: g(u_i w) = u'_j s_j(w) gives
-    g^-1(u'_j v) = u_i s_j^-1(v); trees swap intact."""
-    tau_inv = [0] * g.k
-    for i, j in enumerate(g.tau, start=1):
-        tau_inv[j - 1] = i
-    labels = tuple(g.labels[g.tau[i - 1] - 1].inverse() for i in range(1, g.k + 1))
-    return TreePairElement(
-        g.n, g.subgroup, g.range_tree, g.domain_tree, tuple(tau_inv), labels
-    )
+    """Inverse homeomorphism; the trees swap."""
+    return element_from_triples(g.n, g.subgroup, _invert_triples(g.triples()))
 
 
 def _collapse_once(n, triple_by_dom):
@@ -249,43 +243,48 @@ def _collapse_once(n, triple_by_dom):
     return False
 
 
-def _reduce_triples(n, triples):
-    """Fully collapsed {domain address: (range address, label)} of a
-    triple list: the triple view of the reduced representative."""
-    triple_by_dom = {a: (b, lab) for a, b, lab in triples}
+def _reduce_triples(n, triple_by_dom):
+    """Collapse triple_by_dom in place until no caret collapses, and return
+    it: the triple view of the reduced representative, which is unique, so
+    two representatives define the same homeomorphism exactly when their
+    reduced dicts are equal."""
     while _collapse_once(n, triple_by_dom):
         pass
     return triple_by_dom
 
 
+def _is_identity(triple_by_dom) -> bool:
+    """True iff the triples, of any representative, define the identity."""
+    return all(a == b and lab.is_identity() for a, (b, lab) in triple_by_dom.items())
+
+
 def reduce_element(g: TreePairElement) -> TreePairElement:
     """Unique fully collapsed representative of the same homeomorphism."""
-    triple_by_dom = _reduce_triples(g.n, g.triples())
-    triples = [(a, b, lab) for a, (b, lab) in triple_by_dom.items()]
-    return element_from_triples(g.n, g.subgroup, triples)
+    return element_from_triples(g.n, g.subgroup, _reduce_triples(g.n, g.triples()))
 
 
 def is_reduced(g: TreePairElement) -> bool:
-    return not _collapse_once(g.n, {a: (b, lab) for a, b, lab in g.triples()})
+    return not _collapse_once(g.n, g.triples())
 
 
 def equal_elements(f: TreePairElement, g: TreePairElement) -> bool:
-    """True iff f and g define the same bijection of the Cantor set."""
+    """True iff f and g define the same bijection of the Cantor set: their
+    reduced triples are equal."""
     _check_compatible(f, g)
-    return reduce_element(f).key() == reduce_element(g).key()
+    return _reduce_triples(f.n, f.triples()) == _reduce_triples(g.n, g.triples())
 
 
 def element_order(g: TreePairElement, cap: int = 10_000):
-    """Smallest m <= cap with g^m = id, else None ("exceeds cap")."""
+    """Smallest m <= cap with g^m = id, else None ("exceeds cap").  Powers
+    are composed and reduced as triples."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    ident = reduce_element(identity_element(g.n, g.subgroup))
-    base = reduce_element(g)
+    base = _reduce_triples(g.n, g.triples())
     acc = base
     for m in range(1, cap + 1):
-        if acc.key() == ident.key():
+        if _is_identity(acc):
             return m
-        acc = reduce_element(compose(base, acc))
+        acc = _reduce_triples(g.n, _compose_triples(base, acc))
     return None
 
 
@@ -294,11 +293,12 @@ def expand_representative(g: TreePairElement, leaf_index: int) -> TreePairElemen
     range leaf, acting on the new carets per the leaf's label."""
     if not 1 <= leaf_index <= g.k:
         raise IndexError(f"leaf index {leaf_index} out of range")
-    triples = g.triples()
-    a, b, lab = triples.pop(leaf_index - 1)
+    triple_by_dom = g.triples()
+    a = list(triple_by_dom)[leaf_index - 1]
+    b, lab = triple_by_dom.pop(a)
     for c in range(1, g.n + 1):
-        triples.append((a + (c,), b + (lab(c),), lab))
-    return element_from_triples(g.n, g.subgroup, triples)
+        triple_by_dom[a + (c,)] = (b + (lab(c),), lab)
+    return element_from_triples(g.n, g.subgroup, triple_by_dom)
 
 
 def random_element(

@@ -87,7 +87,6 @@ def test_congruence_stabilizes_in_bound(rng):
         sizes = tuple(rng.randrange(1, 8) for _ in range(rng.randrange(1, 4)))
         inst = CongruenceInstance(n, sizes)
         base = count_congruence_solutions(inst)
-        assert base == count_congruence_solutions(inst, bound=4 * (n - 1) * max(sizes))
         assert base == brute_force_classes(inst, 3 * (n - 1) * max(sizes))
 
 
@@ -106,6 +105,32 @@ def test_count_order_p_classes_preconditions():
         count_order_p_classes(2, 3, 6)  # 3 divides ord(P)
     with pytest.raises(ValueError):
         count_order_p_classes(4, 4, 1)  # not prime
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_group_orders_below_one_are_rejected(order):
+    # 0 % p == 0 for every prime p, so an order of 0 would make the witness
+    # search run forever and the class count report "p divides ord(P) = 0".
+    # The class count is checked first, so a missing check fails here
+    # instead of hanging in the witness search.
+    with pytest.raises(ValueError, match="group order must be >= 1"):
+        count_order_p_classes(2, 3, order)
+    with pytest.raises(ValueError, match="group order must be >= 1"):
+        nonisomorphism_witness(2, 3, order, 1)
+    with pytest.raises(ValueError, match="group order must be >= 1"):
+        nonisomorphism_witness(2, 3, 1, order)
+
+
+@pytest.mark.parametrize("max_leaves", [0, -4])
+def test_leaf_bounds_below_one_are_rejected(max_leaves):
+    # A bound below 1 enumerates nothing; reporting that as zero classes or
+    # an inconclusive search would pass an empty search off as an answer.
+    h = Subgroup.trivial(2)
+    f = identity_element(2, h)
+    with pytest.raises(ValueError, match="leaf bound must be >= 1"):
+        class_census_experiment(2, h, 3, max_leaves)
+    with pytest.raises(ValueError, match="leaf bound must be >= 1"):
+        oracle_conjugate(f, f, max_leaves)
 
 
 def test_nonisomorphism_witness_examples():
@@ -143,6 +168,44 @@ def test_oracle_inconclusive_on_nonconjugates():
     ident = identity_element(2, h)
     swap = TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), (2, 1), (one, one))
     assert oracle_conjugate(ident, swap, 3) is None
+
+
+def test_oracle_builds_only_the_candidates_it_scans(monkeypatch):
+    # The oracle takes its candidates from `vnh.census.reduced_elements`,
+    # looked up at call time so that a wrapper installed there sees them,
+    # and composes and reduces on triples: the only elements built during a
+    # search are the candidates, and a hit returns the last one.
+    h = Subgroup.symmetric(2)
+    one, s = Perm.identity(2), Perm((2, 1))
+    f = TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), (2, 1), (one, s))
+    caret_right, caret_left = (LEAF, (LEAF, LEAF)), ((LEAF, LEAF), LEAF)
+    w = TreePairElement(2, h, caret_right, caret_left, (1, 2, 3), (one, one, s))
+    g = reduce_element(compose(compose(invert(w), f), w))
+    miss = identity_element(2, h)  # f is not the identity
+    scanned = []
+
+    def scanning(*args):
+        for e in reduced_elements(*args):
+            scanned.append(e)
+            yield e
+
+    monkeypatch.setattr(vnh.census, "reduced_elements", scanning)
+    built = []
+    post_init = TreePairElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TreePairElement, "__post_init__", counting)
+    found = oracle_conjugate(f, g, 4)
+    assert found is scanned[-1]
+    assert [id(e) for e in built] == [id(e) for e in scanned]
+    built.clear()
+    scanned.clear()
+    assert oracle_conjugate(f, miss, 4) is None
+    assert len(scanned) > 1
+    assert [id(e) for e in built] == [id(e) for e in scanned]
 
 
 def _reference_oracle(f, g, max_leaves):
@@ -266,7 +329,7 @@ def test_triple_order_test_matches_element_order(name, rng):
     n, h = ORDER_GROUPS[name]
     g = _torsion_biased_element(n, h, rng)
     for e in (g, expand_representative(g, rng.randrange(g.k) + 1)):
-        triple_by_dom = {a: (b, lab) for a, b, lab in e.triples()}
+        triple_by_dom = e.triples()
         for p in (2, 3, 5):
             assert _order_exactly(n, triple_by_dom, p) == (element_order(e, p) == p)
 
@@ -301,10 +364,9 @@ def _reference_order_exactly(g, p):
     """Element-level order test: not the identity, and a padded probe below
     every domain leaf returns to itself after p steps with identity residual
     tail action."""
-    triples = g.triples()
-    if all(a == b and lab.is_identity() for a, b, lab in triples):
+    by_dom = g.triples()
+    if all(a == b and lab.is_identity() for a, (b, lab) in by_dom.items()):
         return False
-    by_dom = {a: (b, lab) for a, b, lab in triples}
     pad = (1,) * ((p + 2) * max(len(a) for a in by_dom) + 1)
 
     def ev(word):
@@ -350,7 +412,7 @@ def _reference_census(n, h, p, max_leaves):
 def _triples_key(n, h, triple_by_dom):
     """Key of the element whose triples are {domain address: (range
     address, label)}."""
-    return element_from_triples(n, h, [(a, b, lab) for a, (b, lab) in triple_by_dom.items()]).key()
+    return element_from_triples(n, h, triple_by_dom).key()
 
 
 @pytest.mark.parametrize(
@@ -419,7 +481,7 @@ def test_loop_records_match_the_reduced_closure_on_census_elements(n, h, p, max_
     # is free loops alone, in the loop class of the records read off an
     # invariant prefix code.
     read = 0
-    for _, _, _, _, triple_by_dom in _order_p_candidates(n, h, p, max_leaves):
+    for triple_by_dom in _order_p_candidates(n, h, p, max_leaves):
         if _collapse_once(n, triple_by_dom):
             continue
         records = _torsion_loop_records(n, triple_by_dom)
@@ -461,8 +523,7 @@ def test_loop_records_match_the_reduced_closure_on_torsion_conjugates(name, rng)
     assert not cd.has_graph_part()
     assert closure_invariant(cd, h) == ("", _loop_class(records, h))
     # Any representative gives records in the same class.
-    unreduced = {a: (b, lab) for a, b, lab in g.triples()}
-    assert _loop_class(_torsion_loop_records(n, unreduced), h) == _loop_class(records, h)
+    assert _loop_class(_torsion_loop_records(n, g.triples()), h) == _loop_class(records, h)
 
 
 @pytest.mark.parametrize(
@@ -509,14 +570,11 @@ def test_census_rejects_loop_records_not_of_order_p(monkeypatch, records):
 def test_pruned_search_yields_the_order_p_candidates(n, h, p, max_leaves):
     # The search per shape block finds exactly the candidates that pass the
     # order test on the full walk, in the walk's order, each with the same
-    # tau, labels and triples.
+    # triples in the same domain-leaf order.
     def comparable(cands):
-        return [
-            (dom, ran, tau, tuple(lab.images for lab in labels), triple_by_dom)
-            for dom, ran, tau, labels, triple_by_dom in cands
-        ]
+        return [[(a, b, lab.images) for a, (b, lab) in c.items()] for c in cands]
 
-    walk = [c for c in _candidates(n, h, max_leaves) if _order_exactly(n, c[4], p)]
+    walk = [c[4] for c in _candidates(n, h, max_leaves) if _order_exactly(n, c[4], p)]
     assert comparable(_order_p_candidates(n, h, p, max_leaves)) == comparable(walk)
 
 
@@ -526,7 +584,7 @@ def test_pruned_search_yields_the_order_p_candidates(n, h, p, max_leaves):
 def test_probe_decided_on_partial_triples_matches_full_verdict(name, rng):
     n, h = ORDER_GROUPS[name]
     g = _torsion_biased_element(n, h, rng)
-    full = {a: (b, lab) for a, b, lab in g.triples()}
+    full = g.triples()
     for p in (2, 3, 5):
         assert _order_exactly(n, full, p) == _padded_probe_order_exactly(n, full, p)
         probe = _prober(n, frozenset(full), p)

@@ -202,6 +202,24 @@ def test_oracle_exit_codes(files, capsys):
     assert main(["conjugate", "--oracle-bound", "2", files["id"], files["swap"]]) == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["census", "--n", "2", "--H", "id", "--p", "3", "--max-leaves", "0"],
+        ["census", "--n", "2", "--H", "id", "--p", "3", "--max-leaves", "-4"],
+        ["oracle", "{id}", "{swap}", "--oracle-bound", "0"],
+        ["conjugate", "{id}", "{swap}", "--oracle-bound", "-3"],
+    ],
+    ids=["census-0", "census-neg", "oracle-0", "conjugate-neg"],
+)
+def test_leaf_bounds_below_one_exit_2(files, capsys, args):
+    # An empty search is not an answer: no "classes=0" or "inconclusive".
+    assert main([a.format(**files) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: leaf bound must be >= 1, got " + args[-1] + "\n"
+
+
 def test_cli_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "vnh.cli", "census", "--n", "3", "--H", "id", "--p", "5"],
@@ -256,3 +274,20 @@ def test_close_dot_trace_matches_golden(name, capsys):
     # Guards the closed canonical vertex order and the DOT output.
     assert main(["close", "--dot", "--trace", str(_CLOSE_DATA / f"{name}.json")]) == 0
     assert capsys.readouterr().out == (_CLOSE_DATA / f"{name}.txt").read_text()
+
+
+_ORACLE_DATA = pathlib.Path(__file__).parent / "data" / "oracle"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name[: -len(".f.json")] for p in _ORACLE_DATA.glob("*.f.json"))
+)
+def test_oracle_and_order_match_golden(name, capsys):
+    # Guards oracle witnesses, inconclusive misses and element orders: the
+    # golden file is the output of `vnh oracle --oracle-bound 4 F G`, then
+    # `vnh order --cap 12` of F and of G.
+    first, second = (str(_ORACLE_DATA / f"{name}.{side}.json") for side in "fg")
+    assert main(["oracle", "--oracle-bound", "4", first, second]) in (0, 3)
+    assert main(["order", "--cap", "12", first]) == 0
+    assert main(["order", "--cap", "12", second]) == 0
+    assert capsys.readouterr().out == (_ORACLE_DATA / f"{name}.txt").read_text()

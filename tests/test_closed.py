@@ -376,15 +376,16 @@ def test_reduce_closed_unique_up_to_gauge_under_random_schedules(name, rng):
 
 
 def _traced_reduced_closure(monkeypatch, g):
-    """reduced_closure(g) together with the rewrite trace of its
-    `reduce_closed` call."""
+    """reduced_closure(g) together with the rewrite trace of its closed
+    reduction, the body it shares with `reduce_closed`."""
     trace = []
+    reduce_graph = vnh.closed._reduce_closed_graph
 
-    def traced(cd, **kwargs):
-        return reduce_closed(cd, trace=trace, **kwargs)
+    def traced(graph, **kwargs):
+        return reduce_graph(graph, trace=trace, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(vnh.closed, "reduce_closed", traced)
+        m.setattr(vnh.closed, "_reduce_closed_graph", traced)
         cd = reduced_closure(g)
     return cd, trace
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from vnh.trees import (
     leaf_addresses,
     locate,
     parse_tree,
+    random_tree,
 )
 
 
@@ -261,7 +263,7 @@ def _reference_compose(g, f):
     g_dom = g.domain_addresses()
     g_ran = g.range_addresses()
     f_tau_inv = {j: i for i, j in enumerate(f.tau, start=1)}
-    triples = []
+    triples = {}
     for w in leaf_addresses(mid):
         j, x = locate(f_ran, w)
         lab_f = f.labels[j - 1]
@@ -270,7 +272,7 @@ def _reference_compose(g, f):
         q = g.tau[m - 1]
         lab_g = g.labels[q - 1]
         b = g_ran[q - 1] + lab_g.act_word(y)
-        triples.append((a, b, lab_g * lab_f))
+        triples[a] = (b, lab_g * lab_f)
     return element_from_triples(f.n, f.subgroup, triples)
 
 
@@ -366,3 +368,56 @@ def test_reduced_elements_matches_brute_force_in_order(n, h, max_leaves):
     # order matters as much as the set.
     got = [g.key() for g in reduced_elements(n, h, max_leaves)]
     assert got == _reference_reduced_keys(n, h, max_leaves)
+
+
+def _reference_equal_elements(f, g):
+    """Equality on whole elements: the keys of the reduced representatives.
+    A test oracle for `equal_elements`."""
+    return reduce_element(f).key() == reduce_element(g).key()
+
+
+def _reference_element_order(g, cap=10_000):
+    """Order on whole elements: each power is composed and reduced as an
+    element and compared with the reduced identity by key.  A test oracle
+    for `element_order`."""
+    ident = reduce_element(identity_element(g.n, g.subgroup))
+    base = reduce_element(g)
+    acc = base
+    for m in range(1, cap + 1):
+        if acc.key() == ident.key():
+            return m
+        acc = reduce_element(compose(base, acc))
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_GROUPS))
+def test_equal_elements_and_element_order_match_element_level_reference(name):
+    n, h, _ = COMPOSE_GROUPS[name]
+    rng = random.Random(f"reference/{name}")
+    elems = sorted(h.elements)
+    ident = identity_element(n, h)
+    samples = [ident, expand_representative(ident, 1)]
+    for _ in range(40):
+        samples.append(random_element(n, h, rng, max_carets=2))
+        # A conjugate of a same-tree element is torsion.
+        leaves = 1 + rng.randrange(4) * (n - 1)
+        tree = random_tree(n, leaves, rng)
+        tau = tuple(rng.sample(range(1, leaves + 1), leaves))
+        t = TreePairElement(n, h, tree, tree, tau, tuple(rng.choice(elems) for _ in tau))
+        w = random_element(n, h, rng, max_carets=1)
+        samples.append(compose(compose(invert(w), t), w))
+    torsion = 0
+    for g in samples:
+        order = _reference_element_order(g, 12)
+        assert element_order(g, 12) == order
+        assert element_order(g, 1) == _reference_element_order(g, 1)
+        if order is not None and order > 1:
+            torsion += 1
+            assert element_order(g, order - 1) is None
+            assert _reference_element_order(g, order - 1) is None
+        other = samples[rng.randrange(len(samples))]
+        expanded = expand_representative(g, rng.randrange(g.k) + 1)
+        for f in (other, expanded, ident, compose(g, g)):
+            assert equal_elements(g, f) == _reference_equal_elements(g, f)
+        assert equal_elements(g, expanded)
+    assert torsion >= 20
