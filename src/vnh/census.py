@@ -55,7 +55,6 @@ class CongruenceInstance:
 
     n: int
     sizes: tuple
-    starred: bool = True
 
     def __post_init__(self):
         _check_arity(self.n)
@@ -64,7 +63,7 @@ class CongruenceInstance:
 
 
 def count_congruence_solutions(inst: CongruenceInstance) -> int:
-    """Number of solution classes of the (starred) congruence.
+    """Number of solution classes of the starred congruence.
 
     Tuples (n_1, ..., n_t) of non-negative integers are classified by their
     (residue mod n-1, is-zero) signature; classes whose members satisfy the
@@ -86,7 +85,7 @@ def count_congruence_solutions(inst: CongruenceInstance) -> int:
                 step[(x + r * s) % m] += w
         ways = step
     count = ways[1 % m]
-    if inst.starred and 1 % m == 0:
+    if 1 % m == 0:
         count -= 1  # the all-zero signature solves it, but its total is 0
     return count
 

@@ -1,29 +1,29 @@
 """Closed strand diagrams, winding classes, and the conjugacy decision.
 
-Closing a (p,p,n)-strand diagram identifies each main sink with the matching
-main source and erases the joint; every closure edge carries winding weight
-1 and all others 0, so the per-edge integer cochain represents the class
-that counts trips around the annulus.  `reduced_closure`, the entry point
-of the conjugacy decision, skips `close`: it builds the closed diagram of
-an element's reduced tree pair straight from the reduced triples
-(`diagrams._tree_pair_graph`), with the range root's out-edge running
-into the domain root at winding 1, and reduces that fresh graph in place
-by the body of `reduce_closed`, which works on a copy.
-Equality of closed diagrams (`==`,
-`closed_equal`) is equality of the underlying port graph together with that
-cohomology class, decided by spanning-tree normalization inside the
-canonical serialization.  `reduce_closed` is not canonical in that sense:
-its result depends on the rewrite schedule and is unique only up to the
-vertex twists over H and coboundaries below, so reduced closures are
-compared with `conjugating_equivalent` or `gauge_canonical`.
+Closing a (p,p,n)-strand diagram glues each main sink to the matching main
+source (`_Graph.glue`, one splice per pair); every closure edge carries
+winding weight 1 and all others 0, so the per-edge integer cochain
+represents the class that counts trips around the annulus.
+`reduced_closure`, the entry point of the conjugacy decision, skips the
+element and diagram objects: it builds the open graph of an element's
+reduced tree pair straight from the reduced triples
+(`diagrams._tree_pair_graph`), glues its sink to its source the same way,
+and reduces that fresh graph in place by the body of `reduce_closed`, which
+works on a copy.  Equality of closed diagrams (`==`, `closed_equal`) is
+equality of the underlying port graph together with that cohomology class,
+decided by spanning-tree normalization inside the canonical serialization.
+`reduce_closed` is not canonical in that sense: its result depends on the
+rewrite schedule and is unique only up to the vertex twists over H and
+coboundaries below, so reduced closures are compared with
+`conjugating_equivalent` or `gauge_canonical`.
 
 Components without splits and merges are free loops.  A vertex-free cycle
-is stored as a FreeLoop record the moment it appears; reduction applies
-type I-III to exhaustion and composes any remaining sigma-cycle down to a
-single label per loop.  Type IV is not a reduction here: on a closed
-diagram it is a vertex twist, one of the gauge moves below.  Two reduced
-closed diagrams decide conjugacy in V_n(H) by matching up to the moves
-conjugation can perform:
+is stored as a FreeLoop record the moment it appears.  Reduction applies
+type I-III to exhaustion, after which a cycle of sigma-vertices alone is a
+single sigma self-loop, and turns each such loop into a record carrying its
+label.  Type IV is not a reduction here: on a closed diagram it is a vertex
+twist, one of the gauge moves below.  Two reduced closed diagrams decide
+conjugacy in V_n(H) by matching up to the moves conjugation can perform:
 
   * relabelling a free loop within its H-conjugacy class (re-rooting the
     composite of its sigma-vertices, refactored over H),
@@ -56,7 +56,6 @@ from .diagrams import (
     MERGE,
     SIGMA,
     SPLIT,
-    TEMP,
     DiagramError,
     StrandDiagram,
     _Graph,
@@ -172,50 +171,22 @@ def close(d: StrandDiagram) -> ClosedDiagram:
     if d.p != d.q:
         raise DiagramError(f"can only close (p,p,n) diagrams, got ({d.p},{d.q})")
     g = d._g.copy()
-    pairs = list(zip(list(g.sinks), list(g.sources)))
-    for snk, src in pairs:
-        e_in = g.in_at[(snk, 0)]
-        e_out = g.out_at[(src, 0)]
-        t = g.new_vertex(TEMP)
-        g.set_head(e_in, t, 0)
-        g.set_tail(e_out, t, 1)
-        g.del_vertex(snk)
-        g.del_vertex(src)
-        g.smooth(t, extra_weight=1)
+    g.glue(zip(list(g.sinks), list(g.sources)), 1)
     return ClosedDiagram(g)
 
 
 def _extract_sigma_cycles(g):
-    """Turn every all-sigma component (a directed cycle) into a free-loop
-    record carrying the canonical rotation composite of its labels."""
-    for comp in g.components():
-        if not all(g.kind[v] == SIGMA for v in comp):
-            continue
-        start = min(comp)
-        seq = []
-        winding = 0
-        v = start
-        while True:
-            seq.append(g.label[v])
-            eid = g.out_at[(v, 1)]
-            winding += g.edges[eid][4]
-            v = g.edges[eid][2]
-            if v == start:
-                break
-        # The composite read from rotation r is seq[r-1] ... seq[r+1] seq[r]
-        # (seq[r] acts first); rotation r+1 conjugates it by seq[r].
-        comp_perm = Perm.identity(g.n)
-        for lab in seq:
-            comp_perm = lab * comp_perm
-        label = comp_perm
-        for lab in seq[:-1]:
-            comp_perm = lab * comp_perm * lab.inverse()
-            label = min(label, comp_perm)
-        for v in list(comp):
-            eid = g.out_at[(v, 1)]
+    """Turn every sigma self-loop into a free-loop record (weight, label).
+
+    This covers every all-sigma component of a graph reduced by I-III: a
+    sigma feeding another sigma is a type III redex, so a cycle of sigmas
+    alone has length 1."""
+    for v in [v for v, kind in g.kind.items() if kind == SIGMA]:
+        eid = g.out_at[(v, 1)]
+        if g.edges[eid][2] == v:
+            g.free_loops.append((g.edges[eid][4], g.label[v]))
             g.del_edge(eid)
             g.del_vertex(v)
-        g.free_loops.append((winding, label))
 
 
 def reduce_closed(cd: ClosedDiagram, *, rng=None, trace=None) -> ClosedDiagram:
@@ -474,21 +445,24 @@ def conjugating_equivalent(c1: ClosedDiagram, c2: ClosedDiagram, subgroup: Subgr
 
 def _closure_of_triples(n, triple_by_dom) -> ClosedDiagram:
     """`reduce_closed` of the closed diagram of a reduced tree pair given
-    as {domain address: (range address, label)}, built straight from the
-    triples (`diagrams._tree_pair_graph`)."""
-    return _reduce_closed_graph(_tree_pair_graph(n, triple_by_dom, closed=True))
+    as {domain address: (range address, label)}: the open graph of the
+    triples (`diagrams._tree_pair_graph`) with its sink glued to its source
+    at winding 1, reduced in place."""
+    g = _tree_pair_graph(n, triple_by_dom)
+    g.glue([(g.sinks[0], g.sources[0])], 1)
+    return _reduce_closed_graph(g)
 
 
 def reduced_closure(g: TreePairElement) -> ClosedDiagram:
     """Reduced closed diagram of g.
 
     The closure of g's reduced tree pair is built straight from its reduced
-    triples, with no element, tree, open diagram or `close` in between: the
-    range root's out-edge runs into the domain root with winding 1.  It
-    equals `close(build_diagram(reduce_element(g)))` up to an
-    order-preserving renaming of vertex ids, so `reduce_closed` takes the
-    same rewrite steps on it.  The fresh graph is reduced in place, and the
-    winding check runs once, on the reduced result."""
+    triples, with no element, tree or open diagram object in between: the
+    open graph's sink is glued to its source at winding 1.  It is the graph
+    `close(build_diagram(reduce_element(g)))` builds, with the same vertex
+    ids, so `reduce_closed` takes the same rewrite steps on it.  The fresh
+    graph is reduced in place, and the winding check runs once, on the
+    reduced result."""
     return _closure_of_triples(g.n, _reduce_triples(g.n, g.triples()))
 
 

@@ -10,7 +10,11 @@ ports, which fully determines crossings):
 Every port carries exactly one edge end.  A strand diagram is acyclic with
 p ordered main sources and q ordered main sinks; closed diagrams (module
 `closed`) reuse the same graph core without sources/sinks and with an
-integer winding weight per edge.
+integer winding weight per edge.  Two strands are joined by one splice
+(`_Graph.splice`): the head end of one edge meets the tail end of another
+and they become one edge, or an identity free-loop record when they were
+the same edge.  Concatenation, closure (`_Graph.glue`) and the identity
+cases of the rewrite rules all join strands this way.
 
 Equality is decided by canonical serialization: breadth-first traversal
 seeded at the ordered sources (or, for source-free graphs, minimized over
@@ -25,7 +29,7 @@ import itertools
 from .perms import Perm
 from .trees import LEAF
 
-SOURCE, SINK, SPLIT, MERGE, SIGMA, TEMP = "source", "sink", "split", "merge", "sigma", "temp"
+SOURCE, SINK, SPLIT, MERGE, SIGMA = "source", "sink", "split", "merge", "sigma"
 
 _KIND_CHAR = {SOURCE: "a", SINK: "z", SPLIT: "s", MERGE: "m", SIGMA: "g"}
 
@@ -50,8 +54,6 @@ def _scan_ports(kind, n):
         return [("o", 0)]
     if kind == SINK:
         return [("i", 0)]
-    if kind == TEMP:
-        return [("i", 0), ("o", 1)]
     raise AssertionError(kind)
 
 
@@ -157,23 +159,29 @@ class _Graph:
         self.free_loops.extend(other.free_loops)
         return vmap
 
-    def smooth(self, vid, extra_weight=0):
-        """Remove a 2-valent pass-through vertex (temp junction), fusing its
-        in and out edges; a closing chain becomes an identity free loop."""
-        e_in = self.in_at[(vid, 0)]
-        e_out = self.out_at[(vid, 1)]
+    def splice(self, e_in, e_out, extra_weight):
+        """Join the head end of e_in to the tail end of e_out as one edge
+        carrying both weights plus `extra_weight`; when they are one edge,
+        the closed chain becomes an identity free-loop record instead."""
         if e_in == e_out:
             w = self.edges[e_in][4] + extra_weight
             self.del_edge(e_in)
-            self.del_vertex(vid)
             self.free_loops.append((w, Perm.identity(self.n)))
             return
         tail, tport, _, _, w_in = self.edges[e_in]
         _, _, head, hport, w_out = self.edges[e_out]
         self.del_edge(e_in)
         self.del_edge(e_out)
-        self.del_vertex(vid)
         self.add_edge(tail, tport, head, hport, w_in + extra_weight + w_out)
+
+    def glue(self, pairs, extra_weight):
+        """Erase each (sink, source) pair, splicing the sink's in-edge to the
+        source's out-edge.  Edges are looked up per pair, so a chain through
+        several pairs fuses into one edge or one free loop."""
+        for snk, src in pairs:
+            self.splice(self.in_at[(snk, 0)], self.out_at[(src, 0)], extra_weight)
+            self.del_vertex(snk)
+            self.del_vertex(src)
 
     # -- views -----------------------------------------------------------
 
@@ -208,8 +216,6 @@ class _Graph:
 
     def check_ports(self):
         for vid, kind in self.kind.items():
-            if kind == TEMP:
-                raise DiagramError("temp junction leaked into a finished diagram")
             for d, p in _scan_ports(kind, self.n):
                 table = self.in_at if d == "i" else self.out_at
                 if (vid, p) not in table:
@@ -472,54 +478,34 @@ def _internal_nodes(addrs):
     return sorted({a[:i] for a in addrs for i in range(len(a))})
 
 
-def _tree_pair_graph(n, triple_by_dom, closed):
-    """Port graph of a tree pair given as {domain address: (range address,
-    label)}: the domain tree as splits, the range tree as merges, and strand
-    a -> b through a sigma-vertex when the label is not the identity.
-
-    Open (`closed=False`): a main source above the domain root and a main
-    sink below the range root.  Closed: neither; the range root's out-edge
-    runs into the domain root with winding 1, and a one-leaf pair is a free
-    loop (1, id) or a sigma self-loop of winding 1.  Vertices are created
-    as splits in preorder, merges in preorder, then sigmas in domain-leaf
-    order; the rewrite driver's schedule reads these ids.
+def _tree_pair_graph(n, triple_by_dom):
+    """Open port graph of a tree pair given as {domain address: (range
+    address, label)}: a main source above the domain tree as splits, the
+    range tree as merges above a main sink, and strand a -> b through a
+    sigma-vertex when the label is not the identity.  Vertices are created
+    as source, sink, splits in preorder, merges in preorder, then sigmas in
+    domain-leaf order; the rewrite driver's schedule reads these ids.
     """
     g = _Graph(n)
+    down = {(): (g.new_vertex(SOURCE), 0)}  # address -> the out-port feeding it
+    up = {(): (g.new_vertex(SINK), 0)}  # address -> the in-port it feeds
     dom = sorted(triple_by_dom)
-    if closed:
-        down = {(): None}  # address -> the out-port feeding that node
-        up = {(): None}  # address -> the in-port fed by that node
-    else:
-        down = {(): (g.new_vertex(SOURCE), 0)}
-        up = {(): (g.new_vertex(SINK), 0)}
     for u in _internal_nodes(dom):
         v = g.new_vertex(SPLIT)
         tail = down.pop(u)
-        if tail is None:
-            root_split = v
-        else:
-            g.add_edge(tail[0], tail[1], v, 0)
+        g.add_edge(tail[0], tail[1], v, 0)
         for c in range(1, n + 1):
             down[u + (c,)] = (v, c)
     for u in _internal_nodes([b for b, _ in triple_by_dom.values()]):
         v = g.new_vertex(MERGE)
         head = up.pop(u)
-        if head is None:
-            g.add_edge(v, 0, root_split, 0, 1)
-        else:
-            g.add_edge(v, 0, head[0], head[1])
+        g.add_edge(v, 0, head[0], head[1])
         for c in range(1, n + 1):
             up[u + (c,)] = (v, c)
     for a in dom:
         b, lab = triple_by_dom[a]
         tail, head = down[a], up[b]
-        if tail is None:  # closed one-leaf pair
-            if lab.is_identity():
-                g.free_loops.append((1, lab))
-            else:
-                v = g.new_vertex(SIGMA, lab)
-                g.add_edge(v, 1, v, 0, 1)
-        elif lab.is_identity():
+        if lab.is_identity():
             g.add_edge(tail[0], tail[1], head[0], head[1])
         else:
             v = g.new_vertex(SIGMA, lab)
@@ -532,7 +518,7 @@ def build_diagram(elem) -> StrandDiagram:
     """(1,1,n)-strand diagram of a tree-pair element: domain tree as splits
     below the source, range tree as merges above the sink, strand i -> tau(i)
     with a sigma-vertex carrying the leaf label when it is not the identity."""
-    return StrandDiagram._trusted(_tree_pair_graph(elem.n, elem.triples(), closed=False))
+    return StrandDiagram._trusted(_tree_pair_graph(elem.n, elem.triples()))
 
 
 def cut_diagram(d: StrandDiagram):
@@ -623,16 +609,7 @@ def concatenate(d1: StrandDiagram, d2: StrandDiagram) -> StrandDiagram:
         raise DiagramError(f"cannot glue {d1.q} sinks to {d2.p} sources")
     g = d1._g.copy()
     vmap = g.absorb(d2._g)
-    pairs = list(zip(list(g.sinks[: d1.q]), [vmap[v] for v in d2._g.sources]))
-    for snk, src in pairs:
-        e_in = g.in_at[(snk, 0)]
-        e_out = g.out_at[(src, 0)]
-        t = g.new_vertex(TEMP)
-        g.set_head(e_in, t, 0)
-        g.set_tail(e_out, t, 1)
-        g.del_vertex(snk)
-        g.del_vertex(src)
-        g.smooth(t)
+    g.glue(zip(g.sinks[: d1.q], [vmap[v] for v in d2._g.sources]), 0)
     if g.free_loops:
         raise DiagramError("concatenation of open diagrams created a loop")
     return StrandDiagram._trusted(g)

@@ -12,12 +12,13 @@ a sigma-vertex applies its label letter-wise to the remaining tail):
     IV   s-vertex on a merge's out-edge pushed to n copies on its in-edges
          (in-ports permuted by s); symmetrically through a split's in-edge
 
-Identity instances of I-III erase the vertices entirely.  Rule supports may
-close up into loops inside closed diagrams; an application whose replacement
-has no vertices left emits a free-loop record instead of an edge.  The free
-loop case of rule IV is the record-level consolidation performed by
-`closed.reduce_closed`; on graphs it is subsumed by the loop supports of
-rules I and II.
+Identity instances of I-III erase the vertices entirely and splice the
+strands they leave (`diagrams._Graph.splice`).  Rule supports may close up
+into loops inside closed diagrams; a splice of an edge onto itself emits a
+free-loop record instead of an edge, and a type I collapse whose split is
+fed by its own merge leaves a sigma self-loop.  The free loop case of rule
+IV is the record-level consolidation performed by `closed.reduce_closed`;
+on graphs it is subsumed by the loop supports of rules I and II.
 
 `reduce` and `closed.reduce_closed` run one driver, `_reduce_graph`.  It
 picks redexes by the plain key (rule priority, anchor ids), or at random
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import MERGE, SIGMA, SPLIT, TEMP, StrandDiagram
-from .perms import Perm
+from .diagrams import MERGE, SIGMA, SPLIT, StrandDiagram
 
 
 class StaleRedexError(ValueError):
@@ -205,29 +205,16 @@ def _apply_I(g, v1, v2, sigma):
     common = _strand_weights_equal(weights)
     e_in = g.in_at[(v1, 0)]
     e_out = g.out_at[(v2, 0)]
-    if e_in == e_out:
-        w = g.edges[e_in][4] + common
-        g.del_edge(e_in)
-        g.del_vertex(v1)
-        g.del_vertex(v2)
-        if sigma is None:
-            g.free_loops.append((w, Perm.identity(n)))
-        else:
-            u = g.new_vertex(SIGMA, sigma)
-            g.add_edge(u, 1, u, 0, w)
-        return
-    tail, tport, _, _, w_in = g.edges[e_in]
-    _, _, head, hport, w_out = g.edges[e_out]
-    g.del_edge(e_in)
-    g.del_edge(e_out)
+    if sigma is None:
+        g.splice(e_in, e_out, common)
+    else:
+        # When the merge feeds the split, e_in is e_out: a sigma self-loop.
+        u = g.new_vertex(SIGMA, sigma)
+        g.set_head(e_in, u, 0)
+        g.edges[e_in][4] += common
+        g.set_tail(e_out, u, 1)
     g.del_vertex(v1)
     g.del_vertex(v2)
-    if sigma is None:
-        g.add_edge(tail, tport, head, hport, w_in + common + w_out)
-    else:
-        u = g.new_vertex(SIGMA, sigma)
-        g.add_edge(tail, tport, u, 0, w_in + common)
-        g.add_edge(u, 1, head, hport, w_out)
 
 
 def _apply_II(g, v1, v2, sigma):
@@ -239,6 +226,10 @@ def _apply_II(g, v1, v2, sigma):
     if sigma is None:
         mid = g.edges[e0][4]
         g.del_edge(e0)
+        # Edges are looked up per port: when the split feeds the merge, an
+        # earlier splice has already fused that strand into a longer chain.
+        for i in range(1, n + 1):
+            g.splice(g.in_at[(v1, i)], g.out_at[(v2, i)], mid)
     else:
         sv = g.edges[e0][2]
         e2 = g.out_at[(sv, 1)]
@@ -246,27 +237,15 @@ def _apply_II(g, v1, v2, sigma):
         g.del_edge(e0)
         g.del_edge(e2)
         g.del_vertex(sv)
-    a = {i: g.in_at[(v1, i)] for i in range(1, n + 1)}
-    b = {j: g.out_at[(v2, j)] for j in range(1, n + 1)}
-    if sigma is None:
-        temps = []
-        for i in range(1, n + 1):
-            t = g.new_vertex(TEMP)
-            g.set_head(a[i], t, 0)
-            g.set_tail(b[i], t, 1)
-            temps.append(t)
-        g.del_vertex(v1)
-        g.del_vertex(v2)
-        for t in temps:
-            g.smooth(t, extra_weight=mid)
-    else:
+        a = {i: g.in_at[(v1, i)] for i in range(1, n + 1)}
+        b = {j: g.out_at[(v2, j)] for j in range(1, n + 1)}
         for i in range(1, n + 1):
             u = g.new_vertex(SIGMA, sigma)
             g.set_head(a[i], u, 0)
             g.edges[a[i]][4] += mid
             g.set_tail(b[sigma(i)], u, 1)
-        g.del_vertex(v1)
-        g.del_vertex(v2)
+    g.del_vertex(v1)
+    g.del_vertex(v2)
 
 
 def _apply_III(g, s1, s2, _comp):
@@ -284,19 +263,14 @@ def _apply_III(g, s1, s2, _comp):
     w_mid = g.edges[e_mid][4]
     g.del_edge(e_mid)
     if comp.is_identity():
-        t = g.new_vertex(TEMP)
-        g.set_head(e_in, t, 0)
-        g.set_tail(e_out, t, 1)
-        g.del_vertex(s1)
-        g.del_vertex(s2)
-        g.smooth(t, extra_weight=w_mid)
+        g.splice(e_in, e_out, w_mid)
     else:
         u = g.new_vertex(SIGMA, comp)
         g.set_head(e_in, u, 0)
         g.edges[e_in][4] += w_mid
         g.set_tail(e_out, u, 1)
-        g.del_vertex(s1)
-        g.del_vertex(s2)
+    g.del_vertex(s1)
+    g.del_vertex(s2)
 
 
 def _apply_IV(g, a, b, sigma):

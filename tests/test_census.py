@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from vnh.closed import (
     _loop_class,
     are_conjugate,
     closure_invariant,
+    conjugacy_invariant,
     reduced_closure,
 )
 from vnh.elements import (
@@ -139,6 +141,61 @@ def test_nonisomorphism_witness_examples():
     assert count_order_p_classes(3, 3, 1) == 3
     assert nonisomorphism_witness(3, 4, 1, 1) == 5
     assert nonisomorphism_witness(2, 4, 2, 6) == 5
+
+
+def _comb(n, carets):
+    tree = LEAF
+    for _ in range(carets):
+        tree = (LEAF,) * (n - 1) + (tree,)
+    return tree
+
+
+def _order_p_representatives(n, h, p):
+    """One element per solution signature of n_1 + p*n_p =* 1 (mod n-1)
+    with n_p >= 1: a comb against itself whose strands fix n_1 leaves and
+    run n_p p-cycles, every label the identity.  A signature is, per
+    variable, zero or a nonzero residue mod n-1; each is realized by its
+    least member."""
+    m = n - 1
+    least = [r or m for r in range(m)]
+    elems = []
+    for n1 in [0] + least:
+        for n_p in least:
+            k = n1 + p * n_p
+            if k % m != 1 % m:
+                continue
+            tau = list(range(1, k + 1))
+            for start in range(n1, k, p):
+                tau[start : start + p] = tau[start + 1 : start + p] + [tau[start]]
+            tree = _comb(n, (k - 1) // m)
+            labels = (Perm.identity(n),) * k
+            elems.append(TreePairElement(n, h, tree, tree, tuple(tau), labels))
+    return elems
+
+
+def test_order_p_class_count_on_constructed_representatives():
+    # The class-count theorem past the census's reach: for every (n, H, p)
+    # with 2 <= n <= 6, H trivial or symmetric, p <= 13 prime dividing
+    # neither n-1 nor |H|, the representatives of the congruence's
+    # signatures have order p and pairwise distinct invariants, as many as
+    # `count_order_p_classes` says.
+    counts = {}
+    for n in range(2, 7):
+        for h in (Subgroup.trivial(n), Subgroup.symmetric(n)):
+            for p in (2, 3, 5, 7, 11, 13):
+                if (n - 1) % p == 0 or h.order % p == 0:
+                    continue
+                elems = _order_p_representatives(n, h, p)
+                assert all(element_order(g, cap=p) == p for g in elems)
+                invariants = {conjugacy_invariant(g) for g in elems}
+                assert len(invariants) == len(elems) == count_order_p_classes(n, p, h.order)
+                counts[n, h.order, p] = len(invariants)
+    assert len(counts) == 45
+    # The witness prime separates V_n(P) from V_m(Q): n classes against m.
+    for n, m in itertools.permutations(range(2, 7), 2):
+        for ord_p, ord_q in itertools.product((1, math.factorial(n)), (1, math.factorial(m))):
+            p = nonisomorphism_witness(n, m, ord_p, ord_q)
+            assert (counts[n, ord_p, p], counts[m, ord_q, p]) == (n, m)
 
 
 def test_oracle_finds_identity_witness():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.test_closed import CLOSURE_GROUPS
-from vnh.closed import ClosedDiagram, close, reduce_closed
+from vnh.closed import ClosedDiagram, FreeLoop, close, reduce_closed
 from vnh.diagrams import (
     MERGE,
     SIGMA,
@@ -444,6 +444,96 @@ def test_zero_winding_cycle_raises_cochain_error():
         rec[4] = 0
     with pytest.raises(CochainError):
         apply_reduction(d, r)
+
+
+# -- splices that close a chain into a loop -----------------------------------
+
+
+def _apply_to_copy(cd, redex):
+    g = cd._g.copy()
+    _apply(g, redex)
+    return g
+
+
+def _merge_fed_by_split(same_port):
+    """Closed V2(Z2) graph: merge m -> split s at winding 3 (an identity
+    type II redex), s's out-port 1 straight back into m, and its out-port 2
+    through a swap vertex x into m's other in-port.  With `same_port` the
+    straight strand enters m at port 1, otherwise at port 2."""
+    swap = Perm((2, 1))
+    g = _Graph(2)
+    m = g.new_vertex(MERGE)
+    s = g.new_vertex(SPLIT)
+    x = g.new_vertex(SIGMA, swap)
+    g.add_edge(m, 0, s, 0, 3)
+    straight, through = (1, 2) if same_port else (2, 1)
+    g.add_edge(s, 1, m, straight, 0)
+    g.add_edge(s, 2, x, 0, 0)
+    g.add_edge(x, 1, m, through, 0)
+    return ClosedDiagram(g), (m, s, x), swap
+
+
+def test_identity_II_fed_by_its_own_split_on_the_same_port_gives_a_free_loop():
+    cd, (m, s, x), swap = _merge_fed_by_split(same_port=True)
+    assert find_redexes(cd)[0] == Redex("II-identity", (m, s))
+    g = _apply_to_copy(cd, Redex("II-identity", (m, s)))
+    # Port 1 closes on itself; port 2 fuses x's two edges into a self-loop.
+    assert g.free_loops == [(3, Perm.identity(2))]
+    assert g.kind == {x: SIGMA}
+    assert list(g.edges.values()) == [[x, 1, x, 0, 3]]
+    out = reduce_closed(cd)
+    assert out.free_loops == (FreeLoop(3, Perm.identity(2)), FreeLoop(3, swap))
+    assert not out.has_graph_part()
+
+
+def test_identity_II_fed_by_its_own_split_on_another_port_carries_the_middle_weight_twice():
+    cd, (m, s, x), swap = _merge_fed_by_split(same_port=False)
+    assert find_redexes(cd)[0] == Redex("II-identity", (m, s))
+    g = _apply_to_copy(cd, Redex("II-identity", (m, s)))
+    # x -> m1 and s1 -> m2 fuse first, then that edge and s2 -> x: one chain
+    # through both junctions, each adding the middle weight.
+    assert g.free_loops == []
+    assert g.kind == {x: SIGMA}
+    assert list(g.edges.values()) == [[x, 1, x, 0, 6]]
+    out = reduce_closed(cd)
+    assert out.free_loops == (FreeLoop(6, swap),)
+    assert not out.has_graph_part()
+
+
+def test_identity_III_on_a_two_sigma_cycle_gives_a_free_loop():
+    n = 3
+    rot = Perm((2, 3, 1))
+    g = _Graph(n)
+    a = g.new_vertex(SIGMA, rot)
+    b = g.new_vertex(SIGMA, rot.inverse())
+    g.add_edge(a, 1, b, 0, 1)
+    g.add_edge(b, 1, a, 0, 2)
+    cd = ClosedDiagram(g)
+    assert find_redexes(cd) == [Redex("III-identity", (a, b)), Redex("III-identity", (b, a))]
+    out = _apply_to_copy(cd, Redex("III-identity", (a, b)))
+    assert out.free_loops == [(3, Perm.identity(n))]
+    assert not out.kind and not out.edges
+
+
+def test_type_I_fed_by_its_own_merge_closes_up():
+    # The split's in-edge is the merge's out-edge: identity I leaves a free
+    # loop, I with a label a sigma self-loop, both at the loop's winding.
+    for n in (2, 3):
+        cd = theta_graph(n, loop_weight=3)
+        (s, m) = find_redexes(cd)[0].anchors
+        assert find_redexes(cd)[0] == Redex("I-identity", (s, m))
+        g = _apply_to_copy(cd, Redex("I-identity", (s, m)))
+        assert g.free_loops == [(3, Perm.identity(n))]
+        assert not g.kind and not g.edges
+        lab = neg_shift(n)
+        cd = theta_graph(n, strand_sigma=lab, loop_weight=3)
+        assert find_redexes(cd)[0] == Redex("I", (s, m), lab)
+        g = _apply_to_copy(cd, Redex("I", (s, m), lab))
+        assert g.free_loops == []
+        ((u, kind),) = g.kind.items()
+        assert kind == SIGMA and g.label[u] == lab
+        assert list(g.edges.values()) == [[u, 1, u, 0, 3]]
+        assert reduce_closed(cd).free_loops == (FreeLoop(3, lab),)
 
 
 # -- the type IV plateau: no I/II collapse past I-III exhaustion -------------
