@@ -15,6 +15,9 @@ directly, never by enumerating tuples.
 The oracle and the census run on the triple view of tree-pair candidates,
 {domain address: (range address, label)}: the oracle composes and reduces
 no element, and the census builds one only for each class representative.
+The oracle first tests each candidate h at a few points x, where a witness
+must have f(h(x)) = h(g(x)); it composes and reduces h^-1 f h, the exact
+compare that decides, only for the candidates that pass.
 The census searches every (domain, range) shape block.  Within a block a
 depth-first search assigns each domain leaf a (range leaf, label) and
 abandons a partial assignment as soon as one of the order test's probes,
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from .closed import _loop_class
 from .elements import (
     TreePairElement,
+    _at_point,
     _check_compatible,
     _collapse_once,
     _compose_triples,
@@ -145,22 +149,45 @@ def nonisomorphism_witness(n: int, m: int, ord_p: int, ord_q: int) -> int:
             return p
 
 
+def _commutes_at_probes(n, f_triples, g_triples):
+    """A necessary test for h^-1 f h = g, on triples {domain address:
+    (range address, label)} of any representatives: `passes(h_triples)` is
+    True iff f(h(x)) = h(g(x)) at every probe point x = a c c c ..., one
+    per domain leaf a of g and letter c.  A witness has f o h = h o g, so
+    it passes; the images g(x) are computed once, here."""
+    probes = [(a, c, _at_point(g_triples, a, c)) for a in g_triples for c in range(1, n + 1)]
+
+    def passes(h_triples):
+        return all(
+            _at_point(f_triples, *_at_point(h_triples, a, c)) == _at_point(h_triples, *gx)
+            for a, c, gx in probes
+        )
+
+    return passes
+
+
 def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     """Brute-force conjugacy witness search: the first reduced h with at
     most max_leaves leaves satisfying h^-1 f h = g, else None
     (inconclusive -- the oracle is one-sided, silence is not a verdict).
 
-    The search runs in the triple view: g is reduced once, and for each
-    candidate h of `reduced_elements` the triples of h^-1 f h are composed
-    by merge and collapsed without building a tree or an element; reduced
-    triples are equal exactly when the homeomorphisms are."""
+    The search runs in the triple view.  Each candidate h of
+    `reduced_elements` is first tested at the probe points of the reduced
+    g by point evaluation alone (`_commutes_at_probes`), which rejects
+    nearly every non-witness and never a witness.  The exact compare still
+    decides: for a candidate that passes, the triples of h^-1 f h are
+    composed by merge and collapsed without building a tree or an element,
+    and reduced triples are equal exactly when the homeomorphisms are."""
     _check_compatible(f, g)
     _check_positive(max_leaves, "leaf bound")
     n = f.n
     target = _reduce_triples(n, g.triples())
     f_triples = f.triples()
+    passes = _commutes_at_probes(n, f_triples, target)
     for h in reduced_elements(n, f.subgroup, max_leaves):
         h_triples = h.triples()
+        if not passes(h_triples):
+            continue
         conj = _compose_triples(_compose_triples(_invert_triples(h_triples), f_triples), h_triples)
         if _reduce_triples(n, conj) == target:
             return h

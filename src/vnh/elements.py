@@ -185,6 +185,32 @@ def _compose_triples(g_triples, f_triples):
     return out
 
 
+def _at_point(triple_by_dom, prefix, c):
+    """Image of the eventually constant point prefix c c c ... under the
+    triples {domain address: (range address, label)} of any representative,
+    in its unique form (prefix', c'): prefix' does not end in c', so two
+    points are equal exactly when their forms are.
+
+    The domain leaf above the point is its shortest prefix in the dict;
+    the label then acts letter-wise on the rest of the prefix and on c.
+    """
+    k = 0
+    while True:
+        key = prefix[:k] if k <= len(prefix) else prefix + (c,) * (k - len(prefix))
+        hit = triple_by_dom.get(key)
+        if hit is not None:
+            break
+        k += 1
+    b, lab = hit
+    img = lab.images
+    word = b + tuple([img[x - 1] for x in prefix[k:]])
+    c = img[c - 1]
+    end = len(word)
+    while end and word[end - 1] == c:
+        end -= 1
+    return word[:end], c
+
+
 def compose(g: TreePairElement, f: TreePairElement) -> TreePairElement:
     """Representative of g o f (f applied first), on the leaves of the
     minimal common expansion of f's range tree and g's domain tree, found

@@ -37,6 +37,9 @@ from vnh.diagrams import (
 )
 from vnh.elements import (
     TreePairElement,
+    _compose_triples,
+    _invert_triples,
+    _reduce_triples,
     compose,
     equal_elements,
     identity_element,
@@ -172,14 +175,20 @@ def _oracle_agreement(n, h, small_bound, sweep_bound, per_pair_bound, per_pair_b
     for g in small:
         by_class.setdefault(invariant[g.key()], []).append(g)
     reps = [members[0] for members in by_class.values()]
+    # The sweep composes and reduces on triples, {domain address: (range
+    # address, label)}: reduced triples are unique, so the items of a
+    # reduced dict key its element as `key()` does.
+    invariant_of_triples = {frozenset(g.triples().items()): invariant[g.key()] for g in small}
+    rep_triples = [(f.triples(), invariant[f.key()]) for f in reps]
     checked = 0
     for w in reduced_elements(n, h, sweep_bound):
-        w_inv = invert(w)
-        for f in reps:
-            g2 = reduce_element(compose(compose(w, f), w_inv))
-            key = g2.key()
-            if key in invariant:
-                assert invariant[key] == invariant[f.key()], (
+        w_triples = w.triples()
+        w_inv = _invert_triples(w_triples)
+        for f_triples, f_invariant in rep_triples:
+            g2 = _reduce_triples(n, _compose_triples(_compose_triples(w_triples, f_triples), w_inv))
+            key = frozenset(g2.items())
+            if key in invariant_of_triples:
+                assert invariant_of_triples[key] == f_invariant, (
                     "oracle-yes pair disagrees with are_conjugate"
                 )
                 checked += 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import vnh.census
 from vnh.census import (
     CongruenceInstance,
+    _commutes_at_probes,
     _order_exactly,
     _order_p_candidates,
     _prober,
@@ -43,7 +44,7 @@ from vnh.elements import (
     reduce_element,
     reduced_elements,
 )
-from vnh.io import element_to_json
+from vnh.io import element_from_json, element_to_json
 from vnh.perms import Perm, Subgroup
 from vnh.trees import LEAF, parse_tree, random_tree
 
@@ -173,29 +174,85 @@ def _order_p_representatives(n, h, p):
     return elems
 
 
-def test_order_p_class_count_on_constructed_representatives():
-    # The class-count theorem past the census's reach: for every (n, H, p)
-    # with 2 <= n <= 6, H trivial or symmetric, p <= 13 prime dividing
-    # neither n-1 nor |H|, the representatives of the congruence's
-    # signatures have order p and pairwise distinct invariants, as many as
-    # `count_order_p_classes` says.
-    counts = {}
+def _class_count_cases():
+    """The 45 (n, H, p) with 2 <= n <= 6, H trivial or symmetric, p <= 13
+    prime dividing neither n-1 nor |H|."""
     for n in range(2, 7):
         for h in (Subgroup.trivial(n), Subgroup.symmetric(n)):
             for p in (2, 3, 5, 7, 11, 13):
-                if (n - 1) % p == 0 or h.order % p == 0:
-                    continue
-                elems = _order_p_representatives(n, h, p)
-                assert all(element_order(g, cap=p) == p for g in elems)
-                invariants = {conjugacy_invariant(g) for g in elems}
-                assert len(invariants) == len(elems) == count_order_p_classes(n, p, h.order)
-                counts[n, h.order, p] = len(invariants)
+                if (n - 1) % p and h.order % p:
+                    yield n, h, p
+
+
+def test_order_p_class_count_on_constructed_representatives():
+    # The class-count theorem past the census's reach: for every (n, H, p)
+    # of `_class_count_cases`, the representatives of the congruence's
+    # signatures have order p and pairwise distinct invariants, as many as
+    # `count_order_p_classes` says.
+    counts = {}
+    for n, h, p in _class_count_cases():
+        elems = _order_p_representatives(n, h, p)
+        assert all(element_order(g, cap=p) == p for g in elems)
+        invariants = {conjugacy_invariant(g) for g in elems}
+        assert len(invariants) == len(elems) == count_order_p_classes(n, p, h.order)
+        counts[n, h.order, p] = len(invariants)
     assert len(counts) == 45
     # The witness prime separates V_n(P) from V_m(Q): n classes against m.
     for n, m in itertools.permutations(range(2, 7), 2):
         for ord_p, ord_q in itertools.product((1, math.factorial(n)), (1, math.factorial(m))):
             p = nonisomorphism_witness(n, m, ord_p, ord_q)
             assert (counts[n, ord_p, p], counts[m, ord_q, p]) == (n, m)
+
+
+def _random_order_p_element(n, h, p, rng):
+    """A random conjugate w^-1 t w of a same-tree element t of order p: t
+    runs random p-cycles on the leaves of one random tree and fixes the
+    rest.  The labels along a cycle are random in H except the first, which
+    makes the composite around the cycle the identity, so that the order
+    stays p; a draw of t without a p-cycle is dropped by its order."""
+    elems = sorted(h.elements)
+    one = Perm.identity(n)
+    while True:
+        leaves = 1 + rng.randrange(1, 2 * p // (n - 1) + 2) * (n - 1)
+        tree = random_tree(n, leaves, rng)
+        points = rng.sample(range(leaves), leaves)
+        tau = list(range(1, leaves + 1))
+        labels = [one] * leaves  # labels[j]: label of range leaf j + 1
+        for start in range(0, rng.randrange(leaves // p + 1) * p, p):
+            cycle = points[start : start + p]
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                tau[x] = y + 1
+            composite = one
+            for y in cycle[1:]:
+                labels[y] = rng.choice(elems)
+                composite = labels[y] * composite
+            labels[cycle[0]] = composite.inverse()
+        t = TreePairElement(n, h, tree, tree, tuple(tau), tuple(labels))
+        if element_order(t, cap=p) == p:
+            w = random_element(n, h, rng, max_carets=2)
+            return compose(compose(invert(w), t), w)
+
+
+def test_random_order_p_elements_land_in_the_constructed_classes(rng):
+    # The upper bound of the class count: random order-p elements of the
+    # 45 (n, H, p) have one of the n invariants of the representatives.
+    for n, h, p in _class_count_cases():
+        invariants = {conjugacy_invariant(g) for g in _order_p_representatives(n, h, p)}
+        for _ in range(20):
+            g = _random_order_p_element(n, h, p, rng)
+            assert element_order(g, cap=p) == p
+            assert conjugacy_invariant(g) in invariants, (n, h.order, p, g)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_representatives_match_the_constructed_ones(p):
+    # Where the census reaches every class (V2(Id) at 5 leaves), it finds
+    # the invariants of the constructed representatives, no more, no fewer.
+    h = Subgroup.trivial(2)
+    lines = []
+    assert class_census_experiment(2, h, p, 5, lines) == 2
+    census = {conjugacy_invariant(element_from_json(line.split(" = ", 1)[1])) for line in lines[:-1]}
+    assert census == {conjugacy_invariant(g) for g in _order_p_representatives(2, h, p)}
 
 
 def test_oracle_finds_identity_witness():
@@ -312,6 +369,29 @@ def test_oracle_matches_element_level_reference(rng, group):
     assert found and missed
 
 
+ORDER_GROUPS = {
+    "V2(Id)": (2, Subgroup.trivial(2)),
+    "V2(Z2)": (2, Subgroup.symmetric(2)),
+    "V3(S3)": (3, Subgroup.symmetric(3)),
+    "V4(S4)": (4, Subgroup.symmetric(4)),
+}
+
+
+@pytest.mark.parametrize("name", ["V2(Z2)", "V3(S3)", "V4(S4)"])
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_point_filter_passes_every_true_witness(name, rng):
+    # The oracle's filter is a necessary condition: the reduced w of
+    # g = w^-1 f w has f(w(x)) = w(g(x)) at every probe point of the
+    # reduced g, so the filter never rejects a witness.
+    n, h = ORDER_GROUPS[name]
+    f = random_element(n, h, rng, max_carets=2)
+    w = random_element(n, h, rng, max_carets=2)
+    target = _reduce_triples(n, compose(compose(invert(w), f), w).triples())
+    passes = _commutes_at_probes(n, f.triples(), target)
+    assert passes(_reduce_triples(n, w.triples()))
+
+
 def test_census_v2_id_p3():
     assert class_census_experiment(2, Subgroup.trivial(2), 3, 4) <= 2
 
@@ -345,14 +425,6 @@ def test_census_monotone_in_leaves():
     counts = [class_census_experiment(2, h, 3, k) for k in (3, 4, 5)]
     assert counts == sorted(counts)
     assert counts[-1] == 2
-
-
-ORDER_GROUPS = {
-    "V2(Id)": (2, Subgroup.trivial(2)),
-    "V2(Z2)": (2, Subgroup.symmetric(2)),
-    "V3(S3)": (3, Subgroup.symmetric(3)),
-    "V4(S4)": (4, Subgroup.symmetric(4)),
-}
 
 
 def _torsion_biased_element(n, h, rng):

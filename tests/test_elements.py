@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vnh.elements import (
     ArityMismatch,
     TreePairElement,
+    _at_point,
     compose,
     element_from_triples,
     element_order,
@@ -329,6 +330,26 @@ def test_compose_matches_common_expansion_reference(name, data):
     g = _draw_element(data, n, h, g_dom)
     assert compose(g, f).key() == _reference_compose(g, f).key()
     assert compose(f, g).key() == _reference_compose(f, g).key()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_GROUPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_at_point_matches_eval_prefix_on_padded_words(name, data):
+    # The point prefix c c c ... padded past the deepest domain leaf: its
+    # image word is the point's unique form (prefix', c') followed by a run
+    # of c', and c' is the residual label applied to c.
+    n, h, max_carets = COMPOSE_GROUPS[name]
+    g = _draw_element(data, n, h, _draw_tree(data, n, data.draw(st.integers(0, max_carets))))
+    prefix = tuple(data.draw(st.lists(st.integers(1, n), max_size=5)))
+    c = data.draw(st.integers(1, n))
+    deepest = max(map(len, g.domain_addresses()))
+    word, tail = eval_prefix(g, prefix + (c,) * (deepest + 1))
+    got_prefix, got_c = _at_point(g.triples(), prefix, c)
+    assert got_c == tail(c)
+    assert not got_prefix or got_prefix[-1] != got_c
+    assert len(word) > len(got_prefix)
+    assert word == got_prefix + (got_c,) * (len(word) - len(got_prefix))
 
 
 def test_compose_single_leaf_operands(rng, group):
