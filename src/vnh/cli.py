@@ -47,15 +47,6 @@ def _read_element(path):
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _same_group(elems):
-    first = elems[0]
-    for e in elems[1:]:
-        if e.n != first.n:
-            raise _InputError(f"arity mismatch: {e.n} != {first.n}")
-        if e.subgroup != first.subgroup:
-            raise _InputError("subgroup mismatch between inputs")
-
-
 def _emit(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -68,7 +59,6 @@ def cmd_parse(args):
 def cmd_compose(args):
     g = _read_element(args.first)
     f = _read_element(args.second)
-    _same_group([g, f])
     _emit(element_to_json(compose(g, f)))
     return 0
 
@@ -85,7 +75,7 @@ def cmd_reduce(args):
 
 def cmd_diagram(args):
     g = _read_element(args.element)
-    d = build_diagram(reduce_element(g) if args.reduce else g)
+    d = build_diagram(g)
     if args.reduce:
         d = reduce(d)
     if args.dot:
@@ -111,15 +101,6 @@ def cmd_close(args):
 def cmd_conjugate(args):
     f = _read_element(args.first)
     g = _read_element(args.second)
-    _same_group([f, g])
-    if args.oracle_bound is not None:
-        h = oracle_conjugate(f, g, args.oracle_bound)
-        if h is None:
-            _emit("conjugate: inconclusive")
-            return 3
-        _emit("conjugate: true")
-        _emit(f"witness: {element_to_json(h)}")
-        return 0
     verdict = are_conjugate(f, g)
     _emit(f"conjugate: {'true' if verdict else 'false'}")
     return 0
@@ -152,7 +133,6 @@ def cmd_census(args):
 def cmd_oracle(args):
     f = _read_element(args.first)
     g = _read_element(args.second)
-    _same_group([f, g])
     h = oracle_conjugate(f, g, args.oracle_bound)
     if h is None:
         _emit("oracle: inconclusive")
@@ -196,12 +176,6 @@ def build_parser():
     p = sub.add_parser("conjugate", help="decide conjugacy of two elements")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument(
-        "--oracle-bound",
-        type=int,
-        default=None,
-        help="use the brute-force oracle with this conjugator leaf bound",
-    )
     p.set_defaults(fn=cmd_conjugate)
 
     p = element_cmd("order", cmd_order, "order of an element (capped)")

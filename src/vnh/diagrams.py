@@ -10,11 +10,13 @@ ports, which fully determines crossings):
 Every port carries exactly one edge end.  A strand diagram is acyclic with
 p ordered main sources and q ordered main sinks; closed diagrams (module
 `closed`) reuse the same graph core without sources/sinks and with an
-integer winding weight per edge.  Two strands are joined by one splice
-(`_Graph.splice`): the head end of one edge meets the tail end of another
-and they become one edge, or an identity free-loop record when they were
-the same edge.  Concatenation, closure (`_Graph.glue`) and the identity
-cases of the rewrite rules all join strands this way.
+integer winding weight per edge.  A strand is read by `_Graph.strand`: an
+edge, or two edges through one sigma-vertex.  Two strands are joined by
+one splice (`_Graph.splice`): the head end of one edge meets the tail end
+of another and they become one edge, or an identity free-loop record when
+they were the same edge; with a label they meet at one new sigma-vertex
+instead.  Concatenation, closure (`_Graph.glue`) and every rewrite rule
+join strands this way.
 
 Equality is decided by canonical serialization: breadth-first traversal
 seeded at the ordered sources (or, for source-free graphs, minimized over
@@ -159,10 +161,30 @@ class _Graph:
         self.free_loops.extend(other.free_loops)
         return vmap
 
-    def splice(self, e_in, e_out, extra_weight):
+    def strand(self, eid):
+        """(end vertex, end port, weight, sigma-vertex or None) of the strand
+        that starts with edge eid and passes through at most one
+        sigma-vertex: its weight is the sum over its one or two edges."""
+        _, _, head, hport, w = self.edges[eid]
+        if self.kind[head] != SIGMA:
+            return head, hport, w, None
+        _, _, end, port, w2 = self.edges[self.out_at[(head, 1)]]
+        return end, port, w + w2, head
+
+    def splice(self, e_in, e_out, extra_weight, label=None):
         """Join the head end of e_in to the tail end of e_out as one edge
         carrying both weights plus `extra_weight`; when they are one edge,
-        the closed chain becomes an identity free-loop record instead."""
+        the closed chain becomes an identity free-loop record instead.
+
+        With a (non-identity) `label` the two ends meet at one new
+        sigma-vertex carrying it, and e_in takes `extra_weight`; when e_in
+        is e_out that is a sigma self-loop."""
+        if label is not None:
+            u = self.new_vertex(SIGMA, label)
+            self.set_head(e_in, u, 0)
+            self.edges[e_in][4] += extra_weight
+            self.set_tail(e_out, u, 1)
+            return
         if e_in == e_out:
             w = self.edges[e_in][4] + extra_weight
             self.del_edge(e_in)
@@ -550,36 +572,28 @@ def cut_diagram(d: StrandDiagram):
     ran_cuts = []
 
     def walk_up(port):
-        eid = g.in_at[port]
-        tail = g.edges[eid][0]
+        tail = g.edges[g.in_at[port]][0]
         if g.kind[tail] == MERGE:
             return tuple(walk_up((tail, c)) for c in range(1, n + 1))
-        ran_cuts.append(eid)
+        ran_cuts.append(port)
         return LEAF
 
     domain_tree = walk_down((g.sources[0], 0))
     range_tree = walk_up((g.sinks[0], 0))
-    ran_index = {eid: j for j, eid in enumerate(ran_cuts, start=1)}
+    ran_index = {port: j for j, port in enumerate(ran_cuts, start=1)}
 
-    k = len(dom_cuts)
     tau = []
-    labels = [None] * k
+    labels = [None] * len(dom_cuts)
     one = Perm.identity(n)
     for eid in dom_cuts:
-        head = g.edges[eid][2]
-        if g.kind[head] == SIGMA:
-            lab = g.label[head]
-            eid2 = g.out_at[(head, 1)]
-            j = ran_index.get(eid2)
-        else:
-            lab = one
-            j = ran_index.get(eid)
+        end, port, _, sv = g.strand(eid)
+        j = ran_index.get((end, port))
         if j is None:
             raise NotReducedError("strand does not run split-sigma-merge")
         tau.append(j)
         if labels[j - 1] is not None:
             raise DiagramError("two strands into one range leaf")
-        labels[j - 1] = lab
+        labels[j - 1] = one if sv is None else g.label[sv]
 
     return (domain_tree, range_tree, tuple(tau), tuple(labels))
 

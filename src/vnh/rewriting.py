@@ -12,11 +12,14 @@ a sigma-vertex applies its label letter-wise to the remaining tail):
     IV   s-vertex on a merge's out-edge pushed to n copies on its in-edges
          (in-ports permuted by s); symmetrically through a split's in-edge
 
-Identity instances of I-III erase the vertices entirely and splice the
-strands they leave (`diagrams._Graph.splice`).  Rule supports may close up
-into loops inside closed diagrams; a splice of an edge onto itself emits a
-free-loop record instead of an edge, and a type I collapse whose split is
-fed by its own merge leaves a sigma self-loop.  The free loop case of rule
+Strands are read by `diagrams._Graph.strand` (one edge, or two through a
+sigma-vertex).  Each of I-III erases its support and joins the strands it
+leaves by one splice (`diagrams._Graph.splice`): as one edge in the
+identity instances, at one new sigma-vertex in the labelled ones.  Type IV
+smooths out the sigma-vertex it pushes by a splice too.  Rule supports may
+close up into loops inside closed diagrams; an identity splice of an edge
+onto itself emits a free-loop record instead of an edge, and a labelled
+one leaves a sigma self-loop.  The free loop case of rule
 IV is the record-level consolidation performed by `closed.reduce_closed`;
 on graphs it is subsumed by the loop supports of rules I and II.
 
@@ -68,70 +71,39 @@ _PRIORITY = {
 def _match_I(g, v1):
     """Type I pattern at split v1; returns (merge, sigma|None) or None.
 
-    The support must be a disk in the annulus: all n strands are required
-    to carry equal winding (automatic for open diagrams, where weights are
-    zero).  A combinatorial match whose strands wind differently is not an
-    instance of the move.
+    Every strand out of v1 must end at one merge, through sigma-vertices of
+    one label s or through none, strand i entering port s(i) (port i when
+    there is no label).  The support must be a disk in the annulus: all n
+    strands are required to carry equal winding (automatic for open
+    diagrams, where weights are zero).  A combinatorial match whose strands
+    wind differently is not an instance of the move.
     """
     if g.kind.get(v1) != SPLIT:
         return None
-    n = g.n
-    merge = None
-    labels = []
-    ports = []
-    weights = []
-    for i in range(1, n + 1):
-        eid = g.out_at[(v1, i)]
-        head, hport = g.edges[eid][2], g.edges[eid][3]
-        w = g.edges[eid][4]
-        if g.kind[head] == SIGMA:
-            lab = g.label[head]
-            e2 = g.out_at[(head, 1)]
-            head2, hport2 = g.edges[e2][2], g.edges[e2][3]
-            if g.kind[head2] != MERGE:
-                return None
-            labels.append(lab)
-            ports.append(hport2)
-            weights.append(w + g.edges[e2][4])
-            head = head2
-        elif g.kind[head] == MERGE:
-            labels.append(None)
-            ports.append(hport)
-            weights.append(w)
-        else:
+    merge, _, weight, sv = g.strand(g.out_at[(v1, 1)])
+    if g.kind[merge] != MERGE:
+        return None
+    label = None if sv is None else g.label[sv]
+    for i in range(1, g.n + 1):
+        end, port, w, sv = g.strand(g.out_at[(v1, i)])
+        if (
+            end != merge
+            or w != weight
+            or (None if sv is None else g.label[sv]) != label
+            or port != (i if label is None else label(i))
+        ):
             return None
-        if merge is None:
-            merge = head
-        elif merge != head:
-            return None
-    if any(w != weights[0] for w in weights):
-        return None
-    if all(lab is None for lab in labels):
-        if ports == list(range(1, n + 1)):
-            return merge, None
-        return None
-    first = labels[0]
-    if first is None or any(lab != first for lab in labels):
-        return None
-    if ports != [first(i) for i in range(1, n + 1)]:
-        return None
-    return merge, first
+    return merge, label
 
 
 def _match_II(g, v1):
     """Type II pattern at merge v1; returns (split, sigma|None) or None."""
     if g.kind.get(v1) != MERGE:
         return None
-    eid = g.out_at[(v1, 0)]
-    head = g.edges[eid][2]
-    if g.kind[head] == SPLIT:
-        return head, None
-    if g.kind[head] == SIGMA:
-        e2 = g.out_at[(head, 1)]
-        head2 = g.edges[e2][2]
-        if g.kind[head2] == SPLIT:
-            return head2, g.label[head]
-    return None
+    end, _, _, sv = g.strand(g.out_at[(v1, 0)])
+    if g.kind[end] != SPLIT:
+        return None
+    return end, None if sv is None else g.label[sv]
 
 
 def _find(g):
@@ -177,42 +149,26 @@ def find_redexes(d):
 # -- applications ----------------------------------------------------------
 
 
-def _strand_weights_equal(weights):
-    if any(w != weights[0] for w in weights):
-        raise CochainError(f"parallel strands carry unequal weights {weights}")
-    return weights[0]
+def _cut_strand(g, eid):
+    """Delete the strand that starts with edge eid, with its sigma-vertex if
+    it has one; returns the strand's weight."""
+    _, _, w, sv = g.strand(eid)
+    g.del_edge(eid)
+    if sv is not None:
+        g.del_edge(g.out_at[(sv, 1)])
+        g.del_vertex(sv)
+    return w
 
 
 def _apply_I(g, v1, v2, sigma):
     found = _match_I(g, v1)
     if found is None or found[0] != v2 or found[1] != sigma:
         raise StaleRedexError("type I pattern no longer present")
-    n = g.n
-    weights = []
-    for i in range(1, n + 1):
-        eid = g.out_at[(v1, i)]
-        rec = g.edges[eid]
-        if g.kind[rec[2]] == SIGMA:
-            sv = rec[2]
-            e2 = g.out_at[(sv, 1)]
-            weights.append(rec[4] + g.edges[e2][4])
-            g.del_edge(e2)
-            g.del_edge(eid)
-            g.del_vertex(sv)
-        else:
-            weights.append(rec[4])
-            g.del_edge(eid)
-    common = _strand_weights_equal(weights)
-    e_in = g.in_at[(v1, 0)]
-    e_out = g.out_at[(v2, 0)]
-    if sigma is None:
-        g.splice(e_in, e_out, common)
-    else:
-        # When the merge feeds the split, e_in is e_out: a sigma self-loop.
-        u = g.new_vertex(SIGMA, sigma)
-        g.set_head(e_in, u, 0)
-        g.edges[e_in][4] += common
-        g.set_tail(e_out, u, 1)
+    # The match guarantees equal strand weights.  When the merge feeds the
+    # split, the splice closes a free loop, or a sigma self-loop.
+    for i in range(1, g.n + 1):
+        w = _cut_strand(g, g.out_at[(v1, i)])
+    g.splice(g.in_at[(v1, 0)], g.out_at[(v2, 0)], w, sigma)
     g.del_vertex(v1)
     g.del_vertex(v2)
 
@@ -221,29 +177,12 @@ def _apply_II(g, v1, v2, sigma):
     found = _match_II(g, v1)
     if found is None or found[0] != v2 or found[1] != sigma:
         raise StaleRedexError("type II pattern no longer present")
-    n = g.n
-    e0 = g.out_at[(v1, 0)]
-    if sigma is None:
-        mid = g.edges[e0][4]
-        g.del_edge(e0)
-        # Edges are looked up per port: when the split feeds the merge, an
-        # earlier splice has already fused that strand into a longer chain.
-        for i in range(1, n + 1):
-            g.splice(g.in_at[(v1, i)], g.out_at[(v2, i)], mid)
-    else:
-        sv = g.edges[e0][2]
-        e2 = g.out_at[(sv, 1)]
-        mid = g.edges[e0][4] + g.edges[e2][4]
-        g.del_edge(e0)
-        g.del_edge(e2)
-        g.del_vertex(sv)
-        a = {i: g.in_at[(v1, i)] for i in range(1, n + 1)}
-        b = {j: g.out_at[(v2, j)] for j in range(1, n + 1)}
-        for i in range(1, n + 1):
-            u = g.new_vertex(SIGMA, sigma)
-            g.set_head(a[i], u, 0)
-            g.edges[a[i]][4] += mid
-            g.set_tail(b[sigma(i)], u, 1)
+    mid = _cut_strand(g, g.out_at[(v1, 0)])
+    # Edges are looked up per port: when the split feeds the merge, an
+    # earlier splice has already fused or moved that edge.
+    for i in range(1, g.n + 1):
+        j = i if sigma is None else sigma(i)
+        g.splice(g.in_at[(v1, i)], g.out_at[(v2, j)], mid, sigma)
     g.del_vertex(v1)
     g.del_vertex(v2)
 
@@ -257,66 +196,50 @@ def _apply_III(g, s1, s2, _comp):
     ):
         raise StaleRedexError("type III pattern no longer present")
     comp = g.label[s2] * g.label[s1]
-    e_in = g.in_at[(s1, 0)]
     e_mid = g.out_at[(s1, 1)]
-    e_out = g.out_at[(s2, 1)]
     w_mid = g.edges[e_mid][4]
     g.del_edge(e_mid)
-    if comp.is_identity():
-        g.splice(e_in, e_out, w_mid)
-    else:
-        u = g.new_vertex(SIGMA, comp)
-        g.set_head(e_in, u, 0)
-        g.edges[e_in][4] += w_mid
-        g.set_tail(e_out, u, 1)
+    label = None if comp.is_identity() else comp
+    g.splice(g.in_at[(s1, 0)], g.out_at[(s2, 1)], w_mid, label)
     g.del_vertex(s1)
     g.del_vertex(s2)
 
 
 def _apply_IV(g, a, b, sigma):
     """(merge m, sigma s) pushes s up through m; (sigma s, split v) pushes
-    s down through v."""
+    s down through v.  The pushed vertex is smoothed out by a splice."""
+    n = g.n
     if g.kind.get(a) == MERGE and g.kind.get(b) == SIGMA:
         m, s = a, b
         e0 = g.out_at[(m, 0)]
         if g.edges[e0][2] != s or g.label[s] != sigma:
             raise StaleRedexError("type IV (merge) pattern no longer present")
-        n = g.n
-        e1 = g.out_at[(s, 1)]
-        head, hport, w_new = g.edges[e1][2], g.edges[e1][3], g.edges[e0][4] + g.edges[e1][4]
-        g.del_edge(e0)
-        g.del_edge(e1)
+        g.splice(e0, g.out_at[(s, 1)], 0)
         g.del_vertex(s)
-        g.add_edge(m, 0, head, hport, w_new)
-        ins = {i: g.in_at[(m, i)] for i in range(1, n + 1)}
-        new_sigmas = {}
-        for i in range(1, n + 1):
+        ins = [g.in_at[(m, i)] for i in range(1, n + 1)]
+        new_sigmas = []
+        for eid in ins:
             u = g.new_vertex(SIGMA, sigma)
-            g.set_head(ins[i], u, 0)
-            new_sigmas[i] = u
-        for i in range(1, n + 1):
-            g.add_edge(new_sigmas[i], 1, m, sigma(i), 0)
+            g.set_head(eid, u, 0)
+            new_sigmas.append(u)
+        for i, u in enumerate(new_sigmas, start=1):
+            g.add_edge(u, 1, m, sigma(i), 0)
     elif g.kind.get(a) == SIGMA and g.kind.get(b) == SPLIT:
         s, v = a, b
         e_b = g.out_at[(s, 1)]
         if g.edges[e_b][2] != v or g.edges[e_b][3] != 0 or g.label[s] != sigma:
             raise StaleRedexError("type IV (split) pattern no longer present")
-        n = g.n
-        e_a = g.in_at[(s, 0)]
-        w = g.edges[e_a][4] + g.edges[e_b][4]
-        g.del_edge(e_b)
-        g.set_head(e_a, v, 0)
-        g.edges[e_a][4] = w
+        g.splice(g.in_at[(s, 0)], e_b, 0)
         g.del_vertex(s)
-        outs = {j: g.out_at[(v, j)] for j in range(1, n + 1)}
+        outs = [g.out_at[(v, j)] for j in range(1, n + 1)]
         sigma_inv = sigma.inverse()
-        new_sigmas = {}
-        for j in range(1, n + 1):
+        new_sigmas = []
+        for eid in outs:
             u = g.new_vertex(SIGMA, sigma)
-            g.set_tail(outs[j], u, 1)
-            new_sigmas[j] = u
-        for j in range(1, n + 1):
-            g.add_edge(v, sigma_inv(j), new_sigmas[j], 0, 0)
+            g.set_tail(eid, u, 1)
+            new_sigmas.append(u)
+        for j, u in enumerate(new_sigmas, start=1):
+            g.add_edge(v, sigma_inv(j), u, 0, 0)
     else:
         raise StaleRedexError("type IV anchors no longer match")
 
@@ -361,17 +284,10 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
         lab = g.label[v]
         s = g.new_vertex(SPLIT)
         m = g.new_vertex(MERGE)
-        e_in = g.in_at[(v, 0)]
-        e_out = g.out_at[(v, 1)]
-        if e_in == e_out:
-            w = g.edges[e_in][4]
-            g.del_edge(e_in)
-            g.del_vertex(v)
-            g.add_edge(m, 0, s, 0, w)
-        else:
-            g.set_head(e_in, s, 0)
-            g.set_tail(e_out, m, 0)
-            g.del_vertex(v)
+        # On a sigma self-loop both calls move one edge: it becomes m -> s.
+        g.set_head(g.in_at[(v, 0)], s, 0)
+        g.set_tail(g.out_at[(v, 1)], m, 0)
+        g.del_vertex(v)
         for i in range(1, n + 1):
             u = g.new_vertex(SIGMA, lab)
             g.add_edge(s, i, u, 0, 0)

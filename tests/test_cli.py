@@ -199,7 +199,6 @@ def test_oracle_exit_codes(files, capsys):
     assert capsys.readouterr().out.startswith("oracle: yes")
     assert main(["oracle", files["id"], files["swap"], "--oracle-bound", "2"]) == 3
     assert capsys.readouterr().out.strip() == "oracle: inconclusive"
-    assert main(["conjugate", "--oracle-bound", "2", files["id"], files["swap"]]) == 3
 
 
 @pytest.mark.parametrize(
@@ -208,9 +207,8 @@ def test_oracle_exit_codes(files, capsys):
         ["census", "--n", "2", "--H", "id", "--p", "3", "--max-leaves", "0"],
         ["census", "--n", "2", "--H", "id", "--p", "3", "--max-leaves", "-4"],
         ["oracle", "{id}", "{swap}", "--oracle-bound", "0"],
-        ["conjugate", "{id}", "{swap}", "--oracle-bound", "-3"],
     ],
-    ids=["census-0", "census-neg", "oracle-0", "conjugate-neg"],
+    ids=["census-0", "census-neg", "oracle-0"],
 )
 def test_leaf_bounds_below_one_exit_2(files, capsys, args):
     # An empty search is not an answer: no "classes=0" or "inconclusive".

@@ -33,6 +33,8 @@ from vnh.rewriting import (
     StaleRedexError,
     _apply,
     _find,
+    _match_I,
+    _match_II,
     _order,
     _reduce_graph,
     apply_inverse,
@@ -292,24 +294,25 @@ def test_inverse_type_I_on_free_loop_gives_split_merge_loop():
 # -- the four local-confluence overlap cases ---------------------------------
 
 
-def theta_graph(n, strand_sigma=None, loop_weight=1):
+def theta_graph(n, strand_sigma=None, loop_weight=1, strand_weights=None):
     """Closed diagram: split s -> n strands -> merge m -> back edge to s.
 
     With strand_sigma=None the strands run i -> i directly (identity type I
     redex); otherwise each strand carries a strand_sigma vertex into port
     sigma(i) (type I redex).  The back edge makes (m, s) an identity type II
-    redex simultaneously: the tightest I/II overlap.
+    redex simultaneously: the tightest I/II overlap.  Strand i carries
+    winding strand_weights[i - 1] (0 by default).
     """
     g = _Graph(n)
     s = g.new_vertex(SPLIT)
     m = g.new_vertex(MERGE)
     g.add_edge(m, 0, s, 0, loop_weight)
-    for i in range(1, n + 1):
+    for i, w in enumerate(strand_weights or [0] * n, start=1):
         if strand_sigma is None:
-            g.add_edge(s, i, m, i)
+            g.add_edge(s, i, m, i, w)
         else:
             v = g.new_vertex(SIGMA, strand_sigma)
-            g.add_edge(s, i, v, 0)
+            g.add_edge(s, i, v, 0, w)
             g.add_edge(v, 1, m, strand_sigma(i))
     return ClosedDiagram(g)
 
@@ -632,3 +635,329 @@ def test_no_type_IV_plateau_past_I_to_III_exhaustion(name, rng):
     before = _reference_state_key(g)
     assert _reference_plateau(g, []) is False
     assert _reference_state_key(g) == before
+
+
+# -- unequal winding refuses type I -------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("labelled", [False, True], ids=["identity", "sigma"])
+def test_type_I_refused_on_strands_of_unequal_winding(n, labelled):
+    # The n strands of a type I support must wind alike: a support whose
+    # strands wind differently is not a disk in the annulus.
+    lab = neg_shift(n) if labelled else None
+    s, m = 0, 1  # theta_graph's split and merge
+    redex = Redex("I", (s, m), lab) if labelled else Redex("I-identity", (s, m))
+    assert redex in find_redexes(theta_graph(n, lab, strand_weights=[1] * n))
+    unequal = theta_graph(n, lab, strand_weights=list(range(n)))
+    type_I = [r for r in find_redexes(unequal) if r.rule in ("I", "I-identity")]
+    assert not [r for r in type_I if r.anchors[0] == s]
+    assert Redex("II-identity", (m, s)) in find_redexes(unequal)
+    with pytest.raises(StaleRedexError):
+        apply_reduction(unequal, Redex("I-identity", (s, m)))
+    with pytest.raises(StaleRedexError):
+        apply_reduction(unequal, redex)
+
+
+# -- per-step reference: the rule bodies before `_Graph.strand` ---------------
+#
+# The matches and rule bodies below are the library's as they stood before
+# strands were read by `_Graph.strand` and joined by a labelled `splice`,
+# copied verbatim apart from the `_reference` prefix on their names.  Each
+# step of a random schedule is applied by both, and the graphs must agree
+# in everything but edge ids: `splice` gives a joined strand a fresh edge
+# id where the old bodies moved one end of an existing edge, and nothing
+# prints or orders by edge ids (DOT and canonical forms order edges by
+# vertex positions; every other reader looks edges up by port).
+
+
+def _reference_match_I(g, v1):
+    """Type I pattern at split v1; returns (merge, sigma|None) or None.
+
+    The support must be a disk in the annulus: all n strands are required
+    to carry equal winding (automatic for open diagrams, where weights are
+    zero).  A combinatorial match whose strands wind differently is not an
+    instance of the move.
+    """
+    if g.kind.get(v1) != SPLIT:
+        return None
+    n = g.n
+    merge = None
+    labels = []
+    ports = []
+    weights = []
+    for i in range(1, n + 1):
+        eid = g.out_at[(v1, i)]
+        head, hport = g.edges[eid][2], g.edges[eid][3]
+        w = g.edges[eid][4]
+        if g.kind[head] == SIGMA:
+            lab = g.label[head]
+            e2 = g.out_at[(head, 1)]
+            head2, hport2 = g.edges[e2][2], g.edges[e2][3]
+            if g.kind[head2] != MERGE:
+                return None
+            labels.append(lab)
+            ports.append(hport2)
+            weights.append(w + g.edges[e2][4])
+            head = head2
+        elif g.kind[head] == MERGE:
+            labels.append(None)
+            ports.append(hport)
+            weights.append(w)
+        else:
+            return None
+        if merge is None:
+            merge = head
+        elif merge != head:
+            return None
+    if any(w != weights[0] for w in weights):
+        return None
+    if all(lab is None for lab in labels):
+        if ports == list(range(1, n + 1)):
+            return merge, None
+        return None
+    first = labels[0]
+    if first is None or any(lab != first for lab in labels):
+        return None
+    if ports != [first(i) for i in range(1, n + 1)]:
+        return None
+    return merge, first
+
+
+def _reference_match_II(g, v1):
+    """Type II pattern at merge v1; returns (split, sigma|None) or None."""
+    if g.kind.get(v1) != MERGE:
+        return None
+    eid = g.out_at[(v1, 0)]
+    head = g.edges[eid][2]
+    if g.kind[head] == SPLIT:
+        return head, None
+    if g.kind[head] == SIGMA:
+        e2 = g.out_at[(head, 1)]
+        head2 = g.edges[e2][2]
+        if g.kind[head2] == SPLIT:
+            return head2, g.label[head]
+    return None
+
+
+def _reference_strand_weights_equal(weights):
+    if any(w != weights[0] for w in weights):
+        raise CochainError(f"parallel strands carry unequal weights {weights}")
+    return weights[0]
+
+
+def _reference_apply_I(g, v1, v2, sigma):
+    found = _reference_match_I(g, v1)
+    if found is None or found[0] != v2 or found[1] != sigma:
+        raise StaleRedexError("type I pattern no longer present")
+    n = g.n
+    weights = []
+    for i in range(1, n + 1):
+        eid = g.out_at[(v1, i)]
+        rec = g.edges[eid]
+        if g.kind[rec[2]] == SIGMA:
+            sv = rec[2]
+            e2 = g.out_at[(sv, 1)]
+            weights.append(rec[4] + g.edges[e2][4])
+            g.del_edge(e2)
+            g.del_edge(eid)
+            g.del_vertex(sv)
+        else:
+            weights.append(rec[4])
+            g.del_edge(eid)
+    common = _reference_strand_weights_equal(weights)
+    e_in = g.in_at[(v1, 0)]
+    e_out = g.out_at[(v2, 0)]
+    if sigma is None:
+        g.splice(e_in, e_out, common)
+    else:
+        # When the merge feeds the split, e_in is e_out: a sigma self-loop.
+        u = g.new_vertex(SIGMA, sigma)
+        g.set_head(e_in, u, 0)
+        g.edges[e_in][4] += common
+        g.set_tail(e_out, u, 1)
+    g.del_vertex(v1)
+    g.del_vertex(v2)
+
+
+def _reference_apply_II(g, v1, v2, sigma):
+    found = _reference_match_II(g, v1)
+    if found is None or found[0] != v2 or found[1] != sigma:
+        raise StaleRedexError("type II pattern no longer present")
+    n = g.n
+    e0 = g.out_at[(v1, 0)]
+    if sigma is None:
+        mid = g.edges[e0][4]
+        g.del_edge(e0)
+        # Edges are looked up per port: when the split feeds the merge, an
+        # earlier splice has already fused that strand into a longer chain.
+        for i in range(1, n + 1):
+            g.splice(g.in_at[(v1, i)], g.out_at[(v2, i)], mid)
+    else:
+        sv = g.edges[e0][2]
+        e2 = g.out_at[(sv, 1)]
+        mid = g.edges[e0][4] + g.edges[e2][4]
+        g.del_edge(e0)
+        g.del_edge(e2)
+        g.del_vertex(sv)
+        a = {i: g.in_at[(v1, i)] for i in range(1, n + 1)}
+        b = {j: g.out_at[(v2, j)] for j in range(1, n + 1)}
+        for i in range(1, n + 1):
+            u = g.new_vertex(SIGMA, sigma)
+            g.set_head(a[i], u, 0)
+            g.edges[a[i]][4] += mid
+            g.set_tail(b[sigma(i)], u, 1)
+    g.del_vertex(v1)
+    g.del_vertex(v2)
+
+
+def _reference_apply_III(g, s1, s2, _comp):
+    if (
+        g.kind.get(s1) != SIGMA
+        or g.kind.get(s2) != SIGMA
+        or s1 == s2
+        or g.edges[g.out_at[(s1, 1)]][2] != s2
+    ):
+        raise StaleRedexError("type III pattern no longer present")
+    comp = g.label[s2] * g.label[s1]
+    e_in = g.in_at[(s1, 0)]
+    e_mid = g.out_at[(s1, 1)]
+    e_out = g.out_at[(s2, 1)]
+    w_mid = g.edges[e_mid][4]
+    g.del_edge(e_mid)
+    if comp.is_identity():
+        g.splice(e_in, e_out, w_mid)
+    else:
+        u = g.new_vertex(SIGMA, comp)
+        g.set_head(e_in, u, 0)
+        g.edges[e_in][4] += w_mid
+        g.set_tail(e_out, u, 1)
+    g.del_vertex(s1)
+    g.del_vertex(s2)
+
+
+def _reference_apply_IV(g, a, b, sigma):
+    """(merge m, sigma s) pushes s up through m; (sigma s, split v) pushes
+    s down through v."""
+    if g.kind.get(a) == MERGE and g.kind.get(b) == SIGMA:
+        m, s = a, b
+        e0 = g.out_at[(m, 0)]
+        if g.edges[e0][2] != s or g.label[s] != sigma:
+            raise StaleRedexError("type IV (merge) pattern no longer present")
+        n = g.n
+        e1 = g.out_at[(s, 1)]
+        head, hport, w_new = g.edges[e1][2], g.edges[e1][3], g.edges[e0][4] + g.edges[e1][4]
+        g.del_edge(e0)
+        g.del_edge(e1)
+        g.del_vertex(s)
+        g.add_edge(m, 0, head, hport, w_new)
+        ins = {i: g.in_at[(m, i)] for i in range(1, n + 1)}
+        new_sigmas = {}
+        for i in range(1, n + 1):
+            u = g.new_vertex(SIGMA, sigma)
+            g.set_head(ins[i], u, 0)
+            new_sigmas[i] = u
+        for i in range(1, n + 1):
+            g.add_edge(new_sigmas[i], 1, m, sigma(i), 0)
+    elif g.kind.get(a) == SIGMA and g.kind.get(b) == SPLIT:
+        s, v = a, b
+        e_b = g.out_at[(s, 1)]
+        if g.edges[e_b][2] != v or g.edges[e_b][3] != 0 or g.label[s] != sigma:
+            raise StaleRedexError("type IV (split) pattern no longer present")
+        n = g.n
+        e_a = g.in_at[(s, 0)]
+        w = g.edges[e_a][4] + g.edges[e_b][4]
+        g.del_edge(e_b)
+        g.set_head(e_a, v, 0)
+        g.edges[e_a][4] = w
+        g.del_vertex(s)
+        outs = {j: g.out_at[(v, j)] for j in range(1, n + 1)}
+        sigma_inv = sigma.inverse()
+        new_sigmas = {}
+        for j in range(1, n + 1):
+            u = g.new_vertex(SIGMA, sigma)
+            g.set_tail(outs[j], u, 1)
+            new_sigmas[j] = u
+        for j in range(1, n + 1):
+            g.add_edge(v, sigma_inv(j), new_sigmas[j], 0, 0)
+    else:
+        raise StaleRedexError("type IV anchors no longer match")
+
+
+_REFERENCE_APPLY = {
+    "I": _reference_apply_I,
+    "I-identity": _reference_apply_I,
+    "II": _reference_apply_II,
+    "II-identity": _reference_apply_II,
+    "III": _reference_apply_III,
+    "III-identity": _reference_apply_III,
+    "IV": _reference_apply_IV,
+}
+
+_REFERENCE_GROUPS = {
+    "V2(Z2)": (2, Subgroup.symmetric(2)),
+    "V3(S3)": (3, Subgroup.symmetric(3)),
+    "V4(S4)": (4, Subgroup.symmetric(4)),
+}
+
+
+def _graph_state(g):
+    edges = sorted(tuple(rec) for rec in g.edges.values())
+    return g.kind, g.label, g.free_loops, g._next_v, edges
+
+
+def _random_factor(n, h, rng):
+    """A random element, half the time with one leaf expanded: the diagram
+    then has a type I redex, labelled when the leaf's label is not 1."""
+    g = random_element(n, h, rng)
+    if rng.random() < 0.5:
+        g = expand_representative(g, rng.randint(1, g.k))
+    return g
+
+
+def _assert_steps_match_reference(g, rng, max_steps):
+    """Apply random redexes of g to g and to a copy, by the library and by
+    the reference bodies, comparing the graphs and the matches after each
+    step; returns the rules applied."""
+    ref = g.copy()
+    rules = set()
+    for _ in range(max_steps):
+        for v in g.kind:
+            assert _match_I(g, v) == _reference_match_I(ref, v)
+            assert _match_II(g, v) == _reference_match_II(ref, v)
+        redexes = _order(_find(g))
+        if not redexes:
+            break
+        redex = rng.choice(redexes)
+        _apply(g, redex)
+        _REFERENCE_APPLY[redex.rule](ref, *redex.anchors, redex.sigma)
+        assert _graph_state(g) == _graph_state(ref), redex
+        rules.add(redex.rule)
+    return rules
+
+
+def test_rule_bodies_match_reference_on_open_products():
+    rules = set()
+    for name, (n, h) in sorted(_REFERENCE_GROUPS.items()):
+        rng = random.Random(name)
+        for _ in range(30):
+            factors = [_random_factor(n, h, rng) for _ in range(rng.randint(2, 4))]
+            d = build_diagram(factors[0])
+            for f in factors[1:]:
+                d = concatenate(d, build_diagram(f))
+            g = d._g.copy()
+            rules |= _assert_steps_match_reference(g, rng, max_steps=10_000)
+            assert not _find(g)
+    assert rules == set(_REFERENCE_APPLY)
+
+
+def test_rule_bodies_match_reference_on_closures():
+    # Type IV is a vertex twist on closed graphs and need not terminate
+    # there, so each schedule, which takes IV too, stops after 60 steps.
+    rules = set()
+    for name, (n, h) in sorted(_REFERENCE_GROUPS.items()):
+        rng = random.Random(name)
+        for _ in range(30):
+            g = close(build_diagram(_random_factor(n, h, rng)))._g.copy()
+            rules |= _assert_steps_match_reference(g, rng, max_steps=60)
+    assert rules == set(_REFERENCE_APPLY)
