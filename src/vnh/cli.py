@@ -16,12 +16,7 @@ from .census import (
     count_order_p_classes,
     oracle_conjugate,
 )
-from .closed import (
-    are_conjugate,
-    close,
-    is_torsion,
-    reduce_closed,
-)
+from .closed import are_conjugate, is_torsion, reduced_closure
 from .diagrams import build_diagram
 from .elements import compose, element_order, invert, reduce_element
 from .io import element_from_json, element_to_json, subgroup_from_spec
@@ -88,7 +83,7 @@ def cmd_diagram(args):
 def cmd_close(args):
     g = _read_element(args.element)
     trace = [] if args.trace else None
-    cd = reduce_closed(close(build_diagram(reduce_element(g))), trace=trace)
+    cd = reduced_closure(g, trace=trace)
     if args.dot:
         _emit(cd.to_dot())
     else:

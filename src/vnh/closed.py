@@ -443,27 +443,20 @@ def conjugating_equivalent(c1: ClosedDiagram, c2: ClosedDiagram, subgroup: Subgr
 # -- conjugacy decision for elements ---------------------------------------
 
 
-def _closure_of_triples(n, triple_by_dom) -> ClosedDiagram:
-    """`reduce_closed` of the closed diagram of a reduced tree pair given
-    as {domain address: (range address, label)}: the open graph of the
-    triples (`diagrams._tree_pair_graph`) with its sink glued to its source
-    at winding 1, reduced in place."""
-    g = _tree_pair_graph(n, triple_by_dom)
-    g.glue([(g.sinks[0], g.sources[0])], 1)
-    return _reduce_closed_graph(g)
-
-
-def reduced_closure(g: TreePairElement) -> ClosedDiagram:
+def reduced_closure(g: TreePairElement, *, rng=None, trace=None) -> ClosedDiagram:
     """Reduced closed diagram of g.
 
     The closure of g's reduced tree pair is built straight from its reduced
-    triples, with no element, tree or open diagram object in between: the
-    open graph's sink is glued to its source at winding 1.  It is the graph
-    `close(build_diagram(reduce_element(g)))` builds, with the same vertex
-    ids, so `reduce_closed` takes the same rewrite steps on it.  The fresh
-    graph is reduced in place, and the winding check runs once, on the
-    reduced result."""
-    return _closure_of_triples(g.n, _reduce_triples(g.n, g.triples()))
+    triples (`diagrams._tree_pair_graph`), with no element, tree or open
+    diagram object in between: the open graph's sink is glued to its source
+    at winding 1.  It is the graph `close(build_diagram(reduce_element(g)))`
+    builds, with the same vertex ids, so `reduce_closed` with the same `rng`
+    takes the same rewrite steps on it and appends them to `trace`.  The
+    fresh graph is reduced in place, and the winding check runs once, on
+    the reduced result."""
+    graph = _tree_pair_graph(g.n, _reduce_triples(g.n, g.triples()))
+    graph.glue([(graph.sinks[0], graph.sources[0])], 1)
+    return _reduce_closed_graph(graph, rng=rng, trace=trace)
 
 
 def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):

@@ -101,6 +101,17 @@ class _Graph:
         self.in_at[(head, hport)] = eid
         return eid
 
+    def add_strand(self, tail, tport, head, hport, label=None):
+        """One edge from out-port (tail, tport) to in-port (head, hport), or,
+        with a (non-identity) `label`, two edges through a new sigma-vertex
+        carrying it; all weights are 0."""
+        if label is None:
+            self.add_edge(tail, tport, head, hport)
+            return
+        v = self.new_vertex(SIGMA, label)
+        self.add_edge(tail, tport, v, 0)
+        self.add_edge(v, 1, head, hport)
+
     def del_edge(self, eid):
         tail, tport, head, hport, _ = self.edges.pop(eid)
         del self.out_at[(tail, tport)]
@@ -526,13 +537,7 @@ def _tree_pair_graph(n, triple_by_dom):
             up[u + (c,)] = (v, c)
     for a in dom:
         b, lab = triple_by_dom[a]
-        tail, head = down[a], up[b]
-        if lab.is_identity():
-            g.add_edge(tail[0], tail[1], head[0], head[1])
-        else:
-            v = g.new_vertex(SIGMA, lab)
-            g.add_edge(tail[0], tail[1], v, 0)
-            g.add_edge(v, 1, head[0], head[1])
+        g.add_strand(*down[a], *up[b], None if lab.is_identity() else lab)
     return g
 
 
@@ -591,8 +596,6 @@ def cut_diagram(d: StrandDiagram):
         if j is None:
             raise NotReducedError("strand does not run split-sigma-merge")
         tau.append(j)
-        if labels[j - 1] is not None:
-            raise DiagramError("two strands into one range leaf")
         labels[j - 1] = one if sv is None else g.label[sv]
 
     return (domain_tree, range_tree, tuple(tau), tuple(labels))

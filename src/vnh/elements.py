@@ -232,37 +232,17 @@ def invert(g: TreePairElement) -> TreePairElement:
 def _collapse_once(n, triple_by_dom):
     """Find one collapsible caret pair; collapse it in place. True if found.
 
-    A domain caret at u collapses when all children u.1 .. u.n are leaves
-    mapped to r.s(1) .. r.s(n) for one permutation s equal to all n labels
-    (then necessarily s in H, since labels live in H).
+    A domain caret at u collapses when its first child a = u.1 is a leaf
+    mapped to r.s(1) under label s and every child u.c is a leaf mapped to
+    r.s(c) under the same s (then s is in H, since labels live in H).  One
+    pass over the leaves a = u.1 finds such a caret.
     """
-    parents = {}
-    for a in triple_by_dom:
-        if a:
-            parents.setdefault(a[:-1], set()).add(a[-1])
-    full = range(1, n + 1)
-    for u, children in parents.items():
-        if len(children) != n:
+    for a, (b, s) in triple_by_dom.items():
+        if not a or a[-1] != 1 or not b or b[-1] != s(1):
             continue
-        first = triple_by_dom.get(u + (1,))
-        if first is None:
-            continue
-        b1, s = first
-        if not b1 or b1[-1] != s(1):
-            continue
-        r = b1[:-1]
-        ok = True
-        for c in full:
-            entry = triple_by_dom.get(u + (c,))
-            if entry is None:
-                ok = False
-                break
-            b, lab = entry
-            if lab != s or b != r + (s(c),):
-                ok = False
-                break
-        if ok:
-            for c in full:
+        u, r = a[:-1], b[:-1]
+        if all(triple_by_dom.get(u + (c,)) == (r + (s(c),), s) for c in range(2, n + 1)):
+            for c in range(1, n + 1):
                 del triple_by_dom[u + (c,)]
             triple_by_dom[u] = (r, s)
             return True

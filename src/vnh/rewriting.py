@@ -12,6 +12,13 @@ a sigma-vertex applies its label letter-wise to the remaining tail):
     IV   s-vertex on a merge's out-edge pushed to n copies on its in-edges
          (in-ports permuted by s); symmetrically through a split's in-edge
 
+Every redex lives at its first anchor, a vertex: type I at its split,
+type II and the upward IV (merge, sigma) at the merge, type III and the
+downward IV (sigma, split) at the first sigma-vertex.  `_redexes_at` finds
+the redexes at one vertex and `_find` runs it over the graph.
+`apply_reduction` checks a redex once, by finding it again at its first
+anchor, and the rule bodies apply it without matching it again.
+
 Strands are read by `diagrams._Graph.strand` (one edge, or two through a
 sigma-vertex).  Each of I-III erases its support and joins the strands it
 leaves by one splice (`diagrams._Graph.splice`): as one edge in the
@@ -19,9 +26,8 @@ identity instances, at one new sigma-vertex in the labelled ones.  Type IV
 smooths out the sigma-vertex it pushes by a splice too.  Rule supports may
 close up into loops inside closed diagrams; an identity splice of an edge
 onto itself emits a free-loop record instead of an edge, and a labelled
-one leaves a sigma self-loop.  The free loop case of rule
-IV is the record-level consolidation performed by `closed.reduce_closed`;
-on graphs it is subsumed by the loop supports of rules I and II.
+one leaves a sigma self-loop.  The inverse moves cut their anchors open
+(`_rewire`) and add the new strands by `diagrams._Graph.add_strand`.
 
 `reduce` and `closed.reduce_closed` run one driver, `_reduce_graph`.  It
 picks redexes by the plain key (rule priority, anchor ids), or at random
@@ -106,38 +112,43 @@ def _match_II(g, v1):
     return end, None if sv is None else g.label[sv]
 
 
+def _redexes_at(g, v, out):
+    """Append to `out` every redex whose first anchor is vertex v, and
+    return `out`: type I at a split; type II and the upward IV (merge,
+    sigma) at a merge; type III and the downward IV (sigma, split) at a
+    sigma-vertex.  A vertex that is gone has none."""
+    kind = g.kind.get(v)
+    if kind == SPLIT:
+        hit = _match_I(g, v)
+        if hit is not None:
+            merge, sigma = hit
+            out.append(Redex("I-identity" if sigma is None else "I", (v, merge), sigma))
+    elif kind == MERGE:
+        hit = _match_II(g, v)
+        if hit is not None:
+            split, sigma = hit
+            out.append(Redex("II-identity" if sigma is None else "II", (v, split), sigma))
+        head = g.edges[g.out_at[(v, 0)]][2]
+        if g.kind[head] == SIGMA:
+            out.append(Redex("IV", (v, head), g.label[head]))
+    elif kind == SIGMA:
+        head = g.edges[g.out_at[(v, 1)]][2]
+        if g.kind[head] == SIGMA and head != v:
+            comp = g.label[head] * g.label[v]
+            if comp.is_identity():
+                out.append(Redex("III-identity", (v, head)))
+            else:
+                out.append(Redex("III", (v, head), comp))
+        elif g.kind[head] == SPLIT:
+            out.append(Redex("IV", (v, head), g.label[v]))
+    return out
+
+
 def _find(g):
     """All current redexes, unsorted."""
     out = []
     for v in g.kind:
-        kind = g.kind[v]
-        if kind == SPLIT:
-            hit = _match_I(g, v)
-            if hit is not None:
-                merge, sigma = hit
-                rule = "I-identity" if sigma is None else "I"
-                out.append(Redex(rule, (v, merge), sigma))
-            ein = g.in_at[(v, 0)]
-            tail = g.edges[ein][0]
-            if g.kind[tail] == SIGMA:
-                out.append(Redex("IV", (tail, v), g.label[tail]))
-        elif kind == MERGE:
-            hit = _match_II(g, v)
-            if hit is not None:
-                split, sigma = hit
-                rule = "II-identity" if sigma is None else "II"
-                out.append(Redex(rule, (v, split), sigma))
-            eout = g.out_at[(v, 0)]
-            head = g.edges[eout][2]
-            if g.kind[head] == SIGMA:
-                out.append(Redex("IV", (v, head), g.label[head]))
-        elif kind == SIGMA:
-            eout = g.out_at[(v, 1)]
-            head = g.edges[eout][2]
-            if g.kind[head] == SIGMA and head != v:
-                comp = g.label[head] * g.label[v]
-                rule = "III-identity" if comp.is_identity() else "III"
-                out.append(Redex(rule, (v, head), comp if rule == "III" else None))
+        _redexes_at(g, v, out)
     return out
 
 
@@ -147,6 +158,9 @@ def find_redexes(d):
 
 
 # -- applications ----------------------------------------------------------
+#
+# The bodies trust their redex: `apply_reduction` checks it once, and the
+# driver applies only redexes it has just found.
 
 
 def _cut_strand(g, eid):
@@ -161,9 +175,6 @@ def _cut_strand(g, eid):
 
 
 def _apply_I(g, v1, v2, sigma):
-    found = _match_I(g, v1)
-    if found is None or found[0] != v2 or found[1] != sigma:
-        raise StaleRedexError("type I pattern no longer present")
     # The match guarantees equal strand weights.  When the merge feeds the
     # split, the splice closes a free loop, or a sigma self-loop.
     for i in range(1, g.n + 1):
@@ -174,9 +185,6 @@ def _apply_I(g, v1, v2, sigma):
 
 
 def _apply_II(g, v1, v2, sigma):
-    found = _match_II(g, v1)
-    if found is None or found[0] != v2 or found[1] != sigma:
-        raise StaleRedexError("type II pattern no longer present")
     mid = _cut_strand(g, g.out_at[(v1, 0)])
     # Edges are looked up per port: when the split feeds the merge, an
     # earlier splice has already fused or moved that edge.
@@ -187,20 +195,11 @@ def _apply_II(g, v1, v2, sigma):
     g.del_vertex(v2)
 
 
-def _apply_III(g, s1, s2, _comp):
-    if (
-        g.kind.get(s1) != SIGMA
-        or g.kind.get(s2) != SIGMA
-        or s1 == s2
-        or g.edges[g.out_at[(s1, 1)]][2] != s2
-    ):
-        raise StaleRedexError("type III pattern no longer present")
-    comp = g.label[s2] * g.label[s1]
+def _apply_III(g, s1, s2, comp):
     e_mid = g.out_at[(s1, 1)]
     w_mid = g.edges[e_mid][4]
     g.del_edge(e_mid)
-    label = None if comp.is_identity() else comp
-    g.splice(g.in_at[(s1, 0)], g.out_at[(s2, 1)], w_mid, label)
+    g.splice(g.in_at[(s1, 0)], g.out_at[(s2, 1)], w_mid, comp)
     g.del_vertex(s1)
     g.del_vertex(s2)
 
@@ -208,61 +207,86 @@ def _apply_III(g, s1, s2, _comp):
 def _apply_IV(g, a, b, sigma):
     """(merge m, sigma s) pushes s up through m; (sigma s, split v) pushes
     s down through v.  The pushed vertex is smoothed out by a splice."""
-    n = g.n
-    if g.kind.get(a) == MERGE and g.kind.get(b) == SIGMA:
-        m, s = a, b
-        e0 = g.out_at[(m, 0)]
-        if g.edges[e0][2] != s or g.label[s] != sigma:
-            raise StaleRedexError("type IV (merge) pattern no longer present")
-        g.splice(e0, g.out_at[(s, 1)], 0)
-        g.del_vertex(s)
-        ins = [g.in_at[(m, i)] for i in range(1, n + 1)]
-        new_sigmas = []
-        for eid in ins:
-            u = g.new_vertex(SIGMA, sigma)
-            g.set_head(eid, u, 0)
-            new_sigmas.append(u)
-        for i, u in enumerate(new_sigmas, start=1):
-            g.add_edge(u, 1, m, sigma(i), 0)
-    elif g.kind.get(a) == SIGMA and g.kind.get(b) == SPLIT:
-        s, v = a, b
-        e_b = g.out_at[(s, 1)]
-        if g.edges[e_b][2] != v or g.edges[e_b][3] != 0 or g.label[s] != sigma:
-            raise StaleRedexError("type IV (split) pattern no longer present")
-        g.splice(g.in_at[(s, 0)], e_b, 0)
-        g.del_vertex(s)
-        outs = [g.out_at[(v, j)] for j in range(1, n + 1)]
-        sigma_inv = sigma.inverse()
-        new_sigmas = []
-        for eid in outs:
-            u = g.new_vertex(SIGMA, sigma)
-            g.set_tail(eid, u, 1)
-            new_sigmas.append(u)
-        for j, u in enumerate(new_sigmas, start=1):
-            g.add_edge(v, sigma_inv(j), u, 0, 0)
+    up = g.kind[a] == MERGE
+    s, v = (b, a) if up else (a, b)
+    g.splice(g.in_at[(s, 0)], g.out_at[(s, 1)], 0)
+    g.del_vertex(s)
+    ports = range(1, g.n + 1)
+    new_sigmas = [g.new_vertex(SIGMA, sigma) for _ in ports]
+    if up:
+        for i, u in zip(ports, new_sigmas):
+            g.set_head(g.in_at[(v, i)], u, 0)
+        for i, u in zip(ports, new_sigmas):
+            g.add_edge(u, 1, v, sigma(i), 0)
     else:
-        raise StaleRedexError("type IV anchors no longer match")
+        sigma_inv = sigma.inverse()
+        for j, u in zip(ports, new_sigmas):
+            g.set_tail(g.out_at[(v, j)], u, 1)
+        for j, u in zip(ports, new_sigmas):
+            g.add_edge(v, sigma_inv(j), u, 0, 0)
+
+
+_APPLY = {
+    "I": _apply_I,
+    "I-identity": _apply_I,
+    "II": _apply_II,
+    "II-identity": _apply_II,
+    "III": _apply_III,
+    "III-identity": _apply_III,
+    "IV": _apply_IV,
+}
 
 
 def _apply(g, redex: Redex):
-    rule = redex.rule
-    if rule in ("I", "I-identity"):
-        _apply_I(g, *redex.anchors, redex.sigma)
-    elif rule in ("II", "II-identity"):
-        _apply_II(g, *redex.anchors, redex.sigma)
-    elif rule in ("III", "III-identity"):
-        _apply_III(g, *redex.anchors, redex.sigma)
-    elif rule == "IV":
-        _apply_IV(g, *redex.anchors, redex.sigma)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
+    """Apply a redex found on g, in place."""
+    _APPLY[redex.rule](g, *redex.anchors, redex.sigma)
 
 
 def apply_reduction(d, redex: Redex):
-    """Apply one redex, returning a new diagram of the same kind."""
-    g = d._g.copy()
+    """Apply one redex, returning a new diagram of the same kind.
+
+    The redex must equal one that `find_redexes(d)` reports; any other
+    raises `StaleRedexError`."""
+    g = d._g
+    if not redex.anchors or redex not in _redexes_at(g, redex.anchors[0], []):
+        raise StaleRedexError(f"{redex!r} is not a redex of this diagram")
+    g = g.copy()
     _apply(g, redex)
     return type(d)(g)
+
+
+def _anchor_label(g, anchors, count, on_sigma):
+    """Check the anchors of an inverse move -- `count` distinct edges, or
+    sigma-vertices of one label when `on_sigma` -- and return that label,
+    or None for edges."""
+    if len(anchors) != count or len(set(anchors)) != count:
+        raise StaleRedexError(f"need {count} distinct anchors")
+    if not on_sigma:
+        if any(e not in g.edges for e in anchors):
+            raise StaleRedexError("anchor edge no longer present")
+        return None
+    if any(g.kind.get(v) != SIGMA for v in anchors):
+        raise StaleRedexError("anchor is not a sigma-vertex")
+    labels = {g.label[v] for v in anchors}
+    if len(labels) != 1:
+        raise StaleRedexError("anchors must be sigma-vertices with one label")
+    return labels.pop()
+
+
+def _rewire(g, anchor, on_sigma, head_end, tail_end):
+    """Cut an edge (or, `on_sigma`, a sigma-vertex) open: what entered it now
+    ends at the in-port `head_end`, what left it starts at the out-port
+    `tail_end`.  A cut edge's weight stays on its first half; a sigma
+    self-loop becomes one edge tail_end -> head_end."""
+    if on_sigma:
+        g.set_head(g.in_at[(anchor, 0)], *head_end)
+        g.set_tail(g.out_at[(anchor, 1)], *tail_end)
+        g.del_vertex(anchor)
+        return
+    tail, tport, head, hport, w = g.edges[anchor]
+    g.del_edge(anchor)
+    g.add_edge(tail, tport, *head_end, w)
+    g.add_edge(*tail_end, head, hport, 0)
 
 
 def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_vertices=None):
@@ -277,65 +301,28 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
     """
     g = d._g.copy()
     n = g.n
-    if rule == "I" and sigma_vertex is not None:
-        v = sigma_vertex
-        if g.kind.get(v) != SIGMA:
-            raise StaleRedexError("anchor is not a sigma-vertex")
-        lab = g.label[v]
-        s = g.new_vertex(SPLIT)
-        m = g.new_vertex(MERGE)
-        # On a sigma self-loop both calls move one edge: it becomes m -> s.
-        g.set_head(g.in_at[(v, 0)], s, 0)
-        g.set_tail(g.out_at[(v, 1)], m, 0)
-        g.del_vertex(v)
-        for i in range(1, n + 1):
-            u = g.new_vertex(SIGMA, lab)
-            g.add_edge(s, i, u, 0, 0)
-            g.add_edge(u, 1, m, lab(i), 0)
-    elif rule == "I" and edge is not None:
-        if edge not in g.edges:
-            raise StaleRedexError("anchor edge no longer present")
-        tail, tport, head, hport, w = g.edges[edge]
-        g.del_edge(edge)
-        s = g.new_vertex(SPLIT)
-        m = g.new_vertex(MERGE)
-        g.add_edge(tail, tport, s, 0, w)
-        g.add_edge(m, 0, head, hport, 0)
-        for i in range(1, n + 1):
-            g.add_edge(s, i, m, i, 0)
-    elif rule == "II" and edges is not None:
-        if len(edges) != n or len(set(edges)) != n:
-            raise StaleRedexError(f"need {n} distinct anchor edges")
-        if any(e not in g.edges for e in edges):
-            raise StaleRedexError("anchor edge no longer present")
-        m = g.new_vertex(MERGE)
-        s = g.new_vertex(SPLIT)
-        g.add_edge(m, 0, s, 0, 0)
-        for i, eid in enumerate(edges, start=1):
-            tail, tport, head, hport, w = g.edges[eid]
-            g.del_edge(eid)
-            g.add_edge(tail, tport, m, i, w)
-            g.add_edge(s, i, head, hport, 0)
-    elif rule == "II" and sigma_vertices is not None:
-        if len(sigma_vertices) != n or len(set(sigma_vertices)) != n:
-            raise StaleRedexError(f"need {n} distinct sigma-vertices")
-        labs = {g.label[v] for v in sigma_vertices if g.kind.get(v) == SIGMA}
-        if len(labs) != 1 or any(g.kind.get(v) != SIGMA for v in sigma_vertices):
-            raise StaleRedexError("anchors must be sigma-vertices with one label")
-        lab = labs.pop()
-        m = g.new_vertex(MERGE)
-        s = g.new_vertex(SPLIT)
-        x = g.new_vertex(SIGMA, lab)
-        g.add_edge(m, 0, x, 0, 0)
-        g.add_edge(x, 1, s, 0, 0)
-        for i, v in enumerate(sigma_vertices, start=1):
-            e_in = g.in_at[(v, 0)]
-            e_out = g.out_at[(v, 1)]
-            g.set_head(e_in, m, i)
-            g.set_tail(e_out, s, lab(i))
-            g.del_vertex(v)
+    if rule == "I" and (sigma_vertex is not None or edge is not None):
+        on_sigma = sigma_vertex is not None
+        anchors = (sigma_vertex if on_sigma else edge,)
+    elif rule == "II" and (edges is not None or sigma_vertices is not None):
+        on_sigma = edges is None
+        anchors = tuple(sigma_vertices if on_sigma else edges)
     else:
         raise ValueError("rule/anchor combination not supported")
+    label = _anchor_label(g, anchors, 1 if rule == "I" else n, on_sigma)
+    ports = [i if label is None else label(i) for i in range(1, n + 1)]
+    if rule == "I":
+        s = g.new_vertex(SPLIT)
+        m = g.new_vertex(MERGE)
+        _rewire(g, anchors[0], on_sigma, (s, 0), (m, 0))
+        for i, j in enumerate(ports, start=1):
+            g.add_strand(s, i, m, j, label)
+    else:
+        m = g.new_vertex(MERGE)
+        s = g.new_vertex(SPLIT)
+        g.add_strand(m, 0, s, 0, label)
+        for i, (anchor, j) in enumerate(zip(anchors, ports), start=1):
+            _rewire(g, anchor, on_sigma, (m, i), (s, j))
     return type(d)(g)
 
 

@@ -20,7 +20,6 @@ from vnh.census import (
     oracle_conjugate,
 )
 from vnh.closed import (
-    _closure_of_triples,
     _loop_class,
     are_conjugate,
     closure_invariant,
@@ -614,7 +613,7 @@ def test_loop_records_match_the_reduced_closure_on_census_elements(n, h, p, max_
         if _collapse_once(n, triple_by_dom):
             continue
         records = _torsion_loop_records(n, triple_by_dom)
-        cd = _closure_of_triples(n, triple_by_dom)
+        cd = reduced_closure(element_from_triples(n, h, triple_by_dom))
         assert not cd.has_graph_part()
         assert closure_invariant(cd, h) == ("", _loop_class(records, h))
         read += 1
@@ -648,7 +647,7 @@ def test_loop_records_match_the_reduced_closure_on_torsion_conjugates(name, rng)
     g = compose(compose(w, t), invert(w))
     reduced = _reduce_triples(n, g.triples())
     records = _torsion_loop_records(n, reduced)
-    cd = _closure_of_triples(n, reduced)
+    cd = reduced_closure(element_from_triples(n, h, reduced))
     assert not cd.has_graph_part()
     assert closure_invariant(cd, h) == ("", _loop_class(records, h))
     # Any representative gives records in the same class.

@@ -127,7 +127,7 @@ def test_cochain_error_exits_4(files, capsys, monkeypatch):
     def corrupt(*_args, **_kwargs):
         raise CochainError("winding must be positive on every oriented loop")
 
-    monkeypatch.setattr("vnh.cli.reduce_closed", corrupt)
+    monkeypatch.setattr("vnh.cli.reduced_closure", corrupt)
     assert main(["close", files["swap"]]) == 4
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: winding must be positive")

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import vnh.closed
 from vnh.closed import (
     ClosedDiagram,
     FreeLoop,
@@ -376,19 +375,11 @@ def test_reduce_closed_unique_up_to_gauge_under_random_schedules(name, rng):
         assert closure_invariant(reduced, h) == expected
 
 
-def _traced_reduced_closure(monkeypatch, g):
+def _traced_reduced_closure(g):
     """reduced_closure(g) together with the rewrite trace of its closed
-    reduction, the body it shares with `reduce_closed`."""
+    reduction."""
     trace = []
-    reduce_graph = vnh.closed._reduce_closed_graph
-
-    def traced(graph, **kwargs):
-        return reduce_graph(graph, trace=trace, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(vnh.closed, "_reduce_closed_graph", traced)
-        cd = reduced_closure(g)
-    return cd, trace
+    return reduced_closure(g, trace=trace), trace
 
 
 @pytest.mark.parametrize(
@@ -401,7 +392,7 @@ def _traced_reduced_closure(monkeypatch, g):
     ],
     ids=["V2(Id)", "V2(Z2)", "V3(S3)", "V4(S4)"],
 )
-def test_reduced_closure_matches_close_of_reduced_diagram(monkeypatch, n, h, max_carets):
+def test_reduced_closure_matches_close_of_reduced_diagram(n, h, max_carets):
     # reduced_closure builds the closure straight from the reduced triples;
     # it must reduce like the closure of the reduced element's diagram: the
     # same graph with the same vertex ids, so the same rewrite trace and
@@ -418,7 +409,7 @@ def test_reduced_closure_matches_close_of_reduced_diagram(monkeypatch, n, h, max
             g = TreePairElement(n, h, g.domain_tree, g.domain_tree, tuple(tau), labels)
         old_trace = []
         old = reduce_closed(close(build_diagram(reduce_element(g))), trace=old_trace)
-        new, new_trace = _traced_reduced_closure(monkeypatch, g)
+        new, new_trace = _traced_reduced_closure(g)
         assert closure_invariant(new, h) == closure_invariant(old, h)
         assert new == old
         assert new_trace == old_trace

@@ -9,6 +9,9 @@ from vnh.elements import (
     ArityMismatch,
     TreePairElement,
     _at_point,
+    _candidates,
+    _collapse_once,
+    _reduce_triples,
     compose,
     element_from_triples,
     element_order,
@@ -442,3 +445,105 @@ def test_equal_elements_and_element_order_match_element_level_reference(name):
             assert equal_elements(g, f) == _reference_equal_elements(g, f)
         assert equal_elements(g, expanded)
     assert torsion >= 20
+
+
+# -- caret collapse at its first child --------------------------------------------
+#
+# `_reference_collapse_once` is the library's caret collapse as it stood
+# before it scanned the first children u.1 instead of building a parent map
+# on every call, copied verbatim apart from the `_reference` prefix on its
+# name.  The two may collapse different carets first, so they are compared
+# by their truth value and by the dict each reduces to.
+
+
+def _reference_collapse_once(n, triple_by_dom):
+    """Find one collapsible caret pair; collapse it in place. True if found.
+
+    A domain caret at u collapses when all children u.1 .. u.n are leaves
+    mapped to r.s(1) .. r.s(n) for one permutation s equal to all n labels
+    (then necessarily s in H, since labels live in H).
+    """
+    parents = {}
+    for a in triple_by_dom:
+        if a:
+            parents.setdefault(a[:-1], set()).add(a[-1])
+    full = range(1, n + 1)
+    for u, children in parents.items():
+        if len(children) != n:
+            continue
+        first = triple_by_dom.get(u + (1,))
+        if first is None:
+            continue
+        b1, s = first
+        if not b1 or b1[-1] != s(1):
+            continue
+        r = b1[:-1]
+        ok = True
+        for c in full:
+            entry = triple_by_dom.get(u + (c,))
+            if entry is None:
+                ok = False
+                break
+            b, lab = entry
+            if lab != s or b != r + (s(c),):
+                ok = False
+                break
+        if ok:
+            for c in full:
+                del triple_by_dom[u + (c,)]
+            triple_by_dom[u] = (r, s)
+            return True
+    return False
+
+
+COLLAPSE_GROUPS = {
+    "V2(Id)": (2, Subgroup.trivial(2)),
+    "V2(Z2)": (2, Subgroup.symmetric(2)),
+    "V3(S3)": (3, Subgroup.symmetric(3)),
+    "V4(S4)": (4, Subgroup.symmetric(4)),
+    "V4(Z3)": (4, Subgroup(4, [Perm((2, 3, 1, 4))])),
+}
+
+
+def _reference_reduce_triples(n, triple_by_dom):
+    while _reference_collapse_once(n, triple_by_dom):
+        pass
+    return triple_by_dom
+
+
+def _assert_collapse_matches_reference(n, triple_by_dom):
+    """Returns whether the triples collapse."""
+    hit = _collapse_once(n, dict(triple_by_dom))
+    assert hit == _reference_collapse_once(n, dict(triple_by_dom))
+    reduced = _reduce_triples(n, dict(triple_by_dom))
+    assert reduced == _reference_reduce_triples(n, dict(triple_by_dom))
+    assert not _collapse_once(n, dict(reduced))
+    return hit
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSE_GROUPS))
+def test_collapse_matches_reference(name):
+    n, h = COLLAPSE_GROUPS[name]
+    rng = random.Random(f"collapse/{name}")
+    elems = sorted(h.elements)
+    hits = misses = 0
+    for _ in range(150):
+        # An expand_representative chain, then maybe one entry altered so a
+        # caret nearly collapses: a label, or two range addresses swapped.
+        g = random_element(n, h, rng, max_carets=2)
+        for _ in range(rng.randrange(4)):
+            g = expand_representative(g, rng.randrange(g.k) + 1)
+            hits += _assert_collapse_matches_reference(n, g.triples())
+        triples = g.triples()
+        keys = list(triples)
+        a, b = rng.choice(keys), rng.choice(keys)
+        if rng.random() < 0.5:
+            triples[a] = (triples[a][0], rng.choice(elems))
+        else:
+            triples[a], triples[b] = (triples[b][0], triples[a][1]), (triples[a][0], triples[b][1])
+        misses += not _assert_collapse_matches_reference(n, triples)
+    for *_, triple_by_dom in itertools.islice(_candidates(n, h, 2 * n - 1), 3000):
+        hit = _assert_collapse_matches_reference(n, triple_by_dom)
+        hits += hit
+        misses += not hit
+    assert hits and misses

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vnh.rewriting
 from tests.test_closed import CLOSURE_GROUPS
 from vnh.closed import ClosedDiagram, FreeLoop, close, reduce_closed
 from vnh.diagrams import (
@@ -21,6 +22,7 @@ from vnh.diagrams import (
     identity_diagram,
 )
 from vnh.elements import (
+    TreePairElement,
     expand_representative,
     identity_element,
     random_element,
@@ -31,11 +33,13 @@ from vnh.rewriting import (
     CochainError,
     Redex,
     StaleRedexError,
+    _PRIORITY,
     _apply,
     _find,
     _match_I,
     _match_II,
     _order,
+    _redexes_at,
     _reduce_graph,
     apply_inverse,
     apply_reduction,
@@ -961,3 +965,352 @@ def test_rule_bodies_match_reference_on_closures():
             g = close(build_diagram(_random_factor(n, h, rng)))._g.copy()
             rules |= _assert_steps_match_reference(g, rng, max_steps=60)
     assert rules == set(_REFERENCE_APPLY)
+
+
+# -- one anchor per redex -------------------------------------------------------
+#
+# `_reference_find` is the library's redex scan as it stood before it ran
+# `_redexes_at` per vertex (the downward type IV was found at its split),
+# copied verbatim apart from the `_reference` prefix on its name.
+
+
+def _reference_find(g):
+    """All current redexes, unsorted."""
+    out = []
+    for v in g.kind:
+        kind = g.kind[v]
+        if kind == SPLIT:
+            hit = _match_I(g, v)
+            if hit is not None:
+                merge, sigma = hit
+                rule = "I-identity" if sigma is None else "I"
+                out.append(Redex(rule, (v, merge), sigma))
+            ein = g.in_at[(v, 0)]
+            tail = g.edges[ein][0]
+            if g.kind[tail] == SIGMA:
+                out.append(Redex("IV", (tail, v), g.label[tail]))
+        elif kind == MERGE:
+            hit = _match_II(g, v)
+            if hit is not None:
+                split, sigma = hit
+                rule = "II-identity" if sigma is None else "II"
+                out.append(Redex(rule, (v, split), sigma))
+            eout = g.out_at[(v, 0)]
+            head = g.edges[eout][2]
+            if g.kind[head] == SIGMA:
+                out.append(Redex("IV", (v, head), g.label[head]))
+        elif kind == SIGMA:
+            eout = g.out_at[(v, 1)]
+            head = g.edges[eout][2]
+            if g.kind[head] == SIGMA and head != v:
+                comp = g.label[head] * g.label[v]
+                rule = "III-identity" if comp.is_identity() else "III"
+                out.append(Redex(rule, (v, head), comp if rule == "III" else None))
+    return out
+
+
+def _random_states(n, h, rng, closed):
+    """Up to 12 diagrams along a random schedule from a random open product
+    of 2-3 factors, or from the closure of one factor."""
+    if closed:
+        d = close(build_diagram(_random_factor(n, h, rng)))
+    else:
+        factors = [_random_factor(n, h, rng) for _ in range(rng.randint(2, 3))]
+        d = build_diagram(factors[0])
+        for f in factors[1:]:
+            d = concatenate(d, build_diagram(f))
+    for _ in range(12):
+        yield d
+        found = find_redexes(d)
+        if not found:
+            return
+        d = apply_reduction(d, rng.choice(found))
+
+
+def _altered(redex, g):
+    """Redexes that differ from `redex` in one field: every other rule name
+    ("I" for an identity match among them), a wrong sigma, swapped anchors,
+    an unknown first anchor, or no anchors."""
+    for rule in sorted(set(_PRIORITY) - {redex.rule}):
+        yield Redex(rule, redex.anchors, redex.sigma)
+    for sigma in (None, Perm.identity(g.n), neg_shift(g.n)):
+        if sigma != redex.sigma:
+            yield Redex(redex.rule, redex.anchors, sigma)
+    yield Redex(redex.rule, redex.anchors[::-1], redex.sigma)
+    yield Redex(redex.rule, (g._next_v,) + redex.anchors[1:], redex.sigma)
+    yield Redex(redex.rule, (), redex.sigma)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_apply_reduction_accepts_exactly_the_found_redexes(monkeypatch, closed):
+    def refuse(*_args):
+        raise AssertionError("a rule body matched its redex again")
+
+    stale = 0
+    rules = set()
+    for name, (n, h) in sorted(_REFERENCE_GROUPS.items()):
+        rng = random.Random(f"anchors/{name}")
+        for _ in range(20):
+            for d in _random_states(n, h, rng, closed):
+                g = d._g
+                found = _find(g)
+                rules |= {r.rule for r in found}
+                assert _order(found) == _order(_reference_find(g))
+                for v in g.kind:
+                    at_v = _redexes_at(g, v, [])
+                    assert all(r.anchors[0] == v for r in at_v)
+                    assert len(set(at_v)) == len(at_v)
+                assert len(set(found)) == len(found)
+                results = {r: apply_reduction(d, r) for r in found}
+                with monkeypatch.context() as m:
+                    m.setattr(vnh.rewriting, "_match_I", refuse)
+                    m.setattr(vnh.rewriting, "_match_II", refuse)
+                    for r in found:
+                        copy = g.copy()
+                        _apply(copy, r)
+                        assert _graph_state(copy) == _graph_state(results[r]._g)
+                if not found:
+                    continue
+                applied = results[rng.choice(found)]
+                still = find_redexes(applied)
+                for r in found:
+                    if r in still:
+                        apply_reduction(applied, r)
+                    else:
+                        stale += 1
+                        with pytest.raises(StaleRedexError):
+                            apply_reduction(applied, r)
+                for r in found:
+                    for bad in _altered(r, g):
+                        if bad in found:
+                            apply_reduction(d, bad)
+                            continue
+                        with pytest.raises(StaleRedexError):
+                            apply_reduction(d, bad)
+    assert stale
+    assert rules == set(_PRIORITY)
+
+
+# -- inverse moves against the bodies before `_Graph.add_strand` ----------------
+#
+# `_reference_apply_inverse` is the library's `apply_inverse` as it stood
+# before its four branches became one type I and one type II body over
+# `_anchor_label`, `_rewire` and `_Graph.add_strand`, copied verbatim apart
+# from the `_reference` prefix on its name.  Both must build the same graph
+# in everything but edge ids, or raise the same exception type.
+
+
+def _reference_apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_vertices=None):
+    """Inverse of a type I or II reduction, anchored on the reduced side.
+
+    rule "I": `sigma_vertex` expands to split + n sigma-vertices + merge;
+    `edge` (identity case) expands to split + n parallel strands + merge.
+    rule "II": `edges`, an ordered tuple of n distinct edges, each cut
+    through a new merge/split pair sharing their 0-edge (identity case);
+    `sigma_vertices`, n same-labelled vertices, pull their label back to a
+    single sigma-vertex between the new merge and split.
+    """
+    g = d._g.copy()
+    n = g.n
+    if rule == "I" and sigma_vertex is not None:
+        v = sigma_vertex
+        if g.kind.get(v) != SIGMA:
+            raise StaleRedexError("anchor is not a sigma-vertex")
+        lab = g.label[v]
+        s = g.new_vertex(SPLIT)
+        m = g.new_vertex(MERGE)
+        # On a sigma self-loop both calls move one edge: it becomes m -> s.
+        g.set_head(g.in_at[(v, 0)], s, 0)
+        g.set_tail(g.out_at[(v, 1)], m, 0)
+        g.del_vertex(v)
+        for i in range(1, n + 1):
+            u = g.new_vertex(SIGMA, lab)
+            g.add_edge(s, i, u, 0, 0)
+            g.add_edge(u, 1, m, lab(i), 0)
+    elif rule == "I" and edge is not None:
+        if edge not in g.edges:
+            raise StaleRedexError("anchor edge no longer present")
+        tail, tport, head, hport, w = g.edges[edge]
+        g.del_edge(edge)
+        s = g.new_vertex(SPLIT)
+        m = g.new_vertex(MERGE)
+        g.add_edge(tail, tport, s, 0, w)
+        g.add_edge(m, 0, head, hport, 0)
+        for i in range(1, n + 1):
+            g.add_edge(s, i, m, i, 0)
+    elif rule == "II" and edges is not None:
+        if len(edges) != n or len(set(edges)) != n:
+            raise StaleRedexError(f"need {n} distinct anchor edges")
+        if any(e not in g.edges for e in edges):
+            raise StaleRedexError("anchor edge no longer present")
+        m = g.new_vertex(MERGE)
+        s = g.new_vertex(SPLIT)
+        g.add_edge(m, 0, s, 0, 0)
+        for i, eid in enumerate(edges, start=1):
+            tail, tport, head, hport, w = g.edges[eid]
+            g.del_edge(eid)
+            g.add_edge(tail, tport, m, i, w)
+            g.add_edge(s, i, head, hport, 0)
+    elif rule == "II" and sigma_vertices is not None:
+        if len(sigma_vertices) != n or len(set(sigma_vertices)) != n:
+            raise StaleRedexError(f"need {n} distinct sigma-vertices")
+        labs = {g.label[v] for v in sigma_vertices if g.kind.get(v) == SIGMA}
+        if len(labs) != 1 or any(g.kind.get(v) != SIGMA for v in sigma_vertices):
+            raise StaleRedexError("anchors must be sigma-vertices with one label")
+        lab = labs.pop()
+        m = g.new_vertex(MERGE)
+        s = g.new_vertex(SPLIT)
+        x = g.new_vertex(SIGMA, lab)
+        g.add_edge(m, 0, x, 0, 0)
+        g.add_edge(x, 1, s, 0, 0)
+        for i, v in enumerate(sigma_vertices, start=1):
+            e_in = g.in_at[(v, 0)]
+            e_out = g.out_at[(v, 1)]
+            g.set_head(e_in, m, i)
+            g.set_tail(e_out, s, lab(i))
+            g.del_vertex(v)
+    else:
+        raise ValueError("rule/anchor combination not supported")
+    return type(d)(g)
+
+
+def _outcome(apply, d, rule, kwargs):
+    try:
+        return _graph_state(apply(d, rule, **kwargs)._g)
+    except (ValueError, CochainError) as exc:
+        # Cutting edges of one path makes a cycle (DiagramError) on an open
+        # diagram, a loop of winding 0 (CochainError) on a closed one.
+        return type(exc)
+
+
+def _random_inverse_calls(g, rng):
+    """Random inverse moves on g: good and bad anchors of every kind."""
+    n = g.n
+    edges = sorted(g.edges)
+    sigmas = sorted(v for v, k in g.kind.items() if k == SIGMA)
+    others = sorted(v for v, k in g.kind.items() if k != SIGMA)
+    gone = g._next_e
+    by_label = {}
+    for v in sigmas:
+        by_label.setdefault(g.label[v], []).append(v)
+    calls = []
+    for v in rng.sample(sigmas, min(3, len(sigmas))) + others[:1] + [g._next_v]:
+        calls.append(("I", {"sigma_vertex": v}))
+    for e in rng.sample(edges, min(3, len(edges))) + [gone]:
+        calls.append(("I", {"edge": e}))
+    for _ in range(3):
+        if len(edges) >= n:
+            pick = rng.sample(edges, n)
+            calls.append(("II", {"edges": tuple(pick)}))
+            calls.append(("II", {"edges": tuple(pick[:-1] + [pick[0]])}))
+            calls.append(("II", {"edges": tuple(pick[:-1] + [gone])}))
+            calls.append(("II", {"edges": tuple(pick[:-1])}))
+    for vs in by_label.values():
+        if len(vs) >= n:
+            calls.append(("II", {"sigma_vertices": tuple(rng.sample(vs, n))}))
+    if len(sigmas) >= n:
+        calls.append(("II", {"sigma_vertices": tuple(rng.sample(sigmas, n))}))
+    if others and len(sigmas) >= n - 1:
+        calls.append(("II", {"sigma_vertices": tuple(sigmas[: n - 1] + others[:1])}))
+    calls.append(("II", {"edge": edges[0] if edges else 0}))
+    calls.append(("I", {"edges": tuple(edges[:n])}))
+    calls.append(("III", {"sigma_vertex": sigmas[0] if sigmas else 0}))
+    return calls
+
+
+def _sigma_self_loops(g):
+    return [v for v, k in g.kind.items() if k == SIGMA and g.edges[g.out_at[(v, 1)]][2] == v]
+
+
+def test_inverse_moves_match_reference():
+    outcomes = set()
+    self_loops = 0
+    for name, (n, h) in sorted(_REFERENCE_GROUPS.items()):
+        rng = random.Random(f"inverse/{name}")
+        elems = sorted(h.elements)
+        for _ in range(25):
+            # Open products, and closures part way through closed reduction
+            # (a same-tree element is torsion: its closure often reduces to
+            # sigma self-loops).
+            states = list(_random_states(n, h, rng, closed=False))
+            g = random_element(n, h, rng, max_carets=2)
+            tau = tuple(rng.sample(range(1, g.k + 1), g.k))
+            labels = tuple(rng.choice(elems) for _ in tau)
+            g = TreePairElement(n, h, g.domain_tree, g.domain_tree, tau, labels)
+            graph = close(build_diagram(g))._g.copy()
+            for _ in range(rng.randrange(30)):
+                redexes = [r for r in _find(graph) if r.rule != "IV"]
+                if not redexes:
+                    break
+                _apply(graph, rng.choice(redexes))
+            states.append(ClosedDiagram(graph))
+            for d in rng.sample(states, min(3, len(states))):
+                loops = _sigma_self_loops(d._g)
+                self_loops += len(loops)
+                calls = _random_inverse_calls(d._g, rng)
+                calls += [("I", {"sigma_vertex": v}) for v in loops]
+                for rule, kwargs in calls:
+                    expected = _outcome(_reference_apply_inverse, d, rule, kwargs)
+                    assert _outcome(apply_inverse, d, rule, kwargs) == expected, (rule, kwargs)
+                    outcomes.add(expected if isinstance(expected, type) else rule)
+    assert self_loops
+    assert {"I", "II", StaleRedexError, ValueError} <= outcomes
+
+
+def test_inverse_move_rejections():
+    # Each rejection path of both versions: wrong count, a repeated anchor,
+    # a missing edge, a non-sigma anchor and mixed labels are stale; a rule
+    # without its anchor kind is unsupported.
+    n = 2
+    s = Perm((2, 1))
+    g = _Graph(n)
+    srcs = [g.new_vertex(SOURCE) for _ in range(3)]
+    snks = [g.new_vertex(SINK) for _ in range(3)]
+    x = g.new_vertex(SIGMA, s)
+    y = g.new_vertex(SIGMA, s)
+    g.add_edge(srcs[0], 0, x, 0)
+    g.add_edge(x, 1, snks[0], 0)
+    g.add_edge(srcs[1], 0, y, 0)
+    g.add_edge(y, 1, snks[1], 0)
+    plain = g.add_edge(srcs[2], 0, snks[2], 0)
+    d = StrandDiagram(g)
+    stale = [
+        ("II", {"edges": (plain,)}),
+        ("II", {"edges": (plain, plain)}),
+        ("II", {"edges": (plain, plain + 1)}),
+        ("I", {"edge": plain + 1}),
+        ("I", {"sigma_vertex": srcs[0]}),
+        ("II", {"sigma_vertices": (x,)}),
+        ("II", {"sigma_vertices": (x, x)}),
+        ("II", {"sigma_vertices": (x, srcs[0])}),
+    ]
+    for rule, kwargs in stale:
+        for apply in (apply_inverse, _reference_apply_inverse):
+            with pytest.raises(StaleRedexError):
+                apply(d, rule, **kwargs)
+    assert apply_inverse(d, "II", sigma_vertices=(x, y)).counts()[SIGMA] == 1
+    g3 = _Graph(3)
+    vs = []
+    for lab in (Perm((2, 3, 1)), Perm((2, 3, 1)), Perm((3, 1, 2))):
+        src, snk = g3.new_vertex(SOURCE), g3.new_vertex(SINK)
+        v = g3.new_vertex(SIGMA, lab)
+        g3.add_edge(src, 0, v, 0)
+        g3.add_edge(v, 1, snk, 0)
+        vs.append(v)
+    d3 = StrandDiagram(g3)
+    for apply in (apply_inverse, _reference_apply_inverse):
+        with pytest.raises(StaleRedexError):
+            apply(d3, "II", sigma_vertices=tuple(vs))
+    unsupported = [
+        ("I", {"edges": (plain,)}),
+        ("I", {"sigma_vertices": (x,)}),
+        ("II", {"edge": plain}),
+        ("II", {"sigma_vertex": x}),
+        ("III", {"sigma_vertex": x}),
+        ("I", {}),
+    ]
+    for rule, kwargs in unsupported:
+        for apply in (apply_inverse, _reference_apply_inverse):
+            with pytest.raises(ValueError) as info:
+                apply(d, rule, **kwargs)
+            assert info.type is ValueError
