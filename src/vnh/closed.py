@@ -443,20 +443,20 @@ def conjugating_equivalent(c1: ClosedDiagram, c2: ClosedDiagram, subgroup: Subgr
 # -- conjugacy decision for elements ---------------------------------------
 
 
-def reduced_closure(g: TreePairElement, *, rng=None, trace=None) -> ClosedDiagram:
+def reduced_closure(g: TreePairElement, *, trace=None) -> ClosedDiagram:
     """Reduced closed diagram of g.
 
     The closure of g's reduced tree pair is built straight from its reduced
     triples (`diagrams._tree_pair_graph`), with no element, tree or open
     diagram object in between: the open graph's sink is glued to its source
     at winding 1.  It is the graph `close(build_diagram(reduce_element(g)))`
-    builds, with the same vertex ids, so `reduce_closed` with the same `rng`
-    takes the same rewrite steps on it and appends them to `trace`.  The
-    fresh graph is reduced in place, and the winding check runs once, on
-    the reduced result."""
+    builds, with the same vertex ids, so `reduce_closed` takes the same
+    rewrite steps on it and appends them to `trace`.  The fresh graph is
+    reduced in place, and the winding check runs once, on the reduced
+    result."""
     graph = _tree_pair_graph(g.n, _reduce_triples(g.n, g.triples()))
     graph.glue([(graph.sinks[0], graph.sources[0])], 1)
-    return _reduce_closed_graph(graph, rng=rng, trace=trace)
+    return _reduce_closed_graph(graph, trace=trace)
 
 
 def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):

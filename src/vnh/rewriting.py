@@ -245,13 +245,14 @@ def _apply(g, redex: Redex):
 def apply_reduction(d, redex: Redex):
     """Apply one redex, returning a new diagram of the same kind.
 
-    The redex must equal one that `find_redexes(d)` reports; any other
-    raises `StaleRedexError`."""
+    The redex must equal one that `find_redexes(d)` reports, its anchors
+    given as any sequence; any other raises `StaleRedexError`."""
     g = d._g
-    if not redex.anchors or redex not in _redexes_at(g, redex.anchors[0], []):
+    key = Redex(redex.rule, tuple(redex.anchors), redex.sigma)
+    if not key.anchors or key not in _redexes_at(g, key.anchors[0], []):
         raise StaleRedexError(f"{redex!r} is not a redex of this diagram")
     g = g.copy()
-    _apply(g, redex)
+    _apply(g, key)
     return type(d)(g)
 
 

@@ -133,6 +133,19 @@ def test_stale_redex_raises():
         apply_reduction(reduced, r)
 
 
+def test_redex_with_list_anchors_applies_as_printed():
+    # `Redex.__repr__` prints the anchors as a list; a redex built that way
+    # is the same redex.
+    h = Subgroup.trivial(2)
+    d = build_diagram(expand_representative(identity_element(2, h), 1))
+    (r,) = [x for x in find_redexes(d) if x.rule == "I-identity"]
+    as_list = Redex(r.rule, list(r.anchors), r.sigma)
+    assert f"anchors={list(r.anchors)}" in repr(as_list)
+    assert diagram_equal(apply_reduction(d, as_list), apply_reduction(d, r))
+    with pytest.raises(StaleRedexError):
+        apply_reduction(apply_reduction(d, r), as_list)
+
+
 def test_reduce_cross_module_consistency(rng, group):
     n, h = group
     for _ in range(20):
