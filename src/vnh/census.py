@@ -24,9 +24,9 @@ abandons a partial assignment as soon as one of the order test's probes,
 all of whose leaves are assigned, fails; a candidate is tested for
 reduction only once every probe has passed.  A reduced order-p candidate
 is bucketed by the loop records of the permutation it induces on an
-invariant prefix code, read off its triples with no diagram built (a
-torsion element's reduced closure is free loops alone, refinement
-equivalent to these records), and the first candidate of each class is
+invariant prefix code, read off its triples with no diagram built
+(`elements._torsion_loop_records`, which `closed.conjugacy_invariant` reads
+for every torsion element too), and the first candidate of each class is
 the representative it reports.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closed import _loop_class
+from .closed import _loop_class, conjugacy_invariant
 from .elements import (
     TreePairElement,
     _at_point,
@@ -46,10 +46,11 @@ from .elements import (
     _is_identity,
     _reduce_triples,
     _shape_blocks,
+    _torsion_loop_records,
     element_from_triples,
     reduced_elements,
 )
-from .perms import Perm, Subgroup
+from .perms import Subgroup
 
 
 @dataclass(frozen=True)
@@ -328,57 +329,6 @@ def _order_p_candidates(n, subgroup, p, max_leaves):
                 yield triple_by_dom
 
 
-def _torsion_loop_records(n, triple_by_dom):
-    """Loop records [(L, s), ...] of a torsion element given as {domain
-    address: (range address, label)}: one per cycle of the permutation g
-    induces on a finite complete prefix code whose words g maps onto words
-    of the code.  The cycle c_0 -> ... -> c_{L-1} -> c_0, with local labels
-    g(c_i w) = c_{i+1} l_i(w), gives L and s = l_{L-1} * ... * l_0, the
-    return map g^L(c_0 w) = c_0 s(w); these are the free loops of the
-    reduced closure, up to the refinement `closed._loop_class` quotients.
-
-    The code starts as the domain leaves and is refined until it is
-    invariant: a word c whose image lies above several code words is
-    split, and so is a code word that lies strictly above g(c).
-
-    Precondition: g has finite order (the census calls this only on
-    order-p candidates).  On an element of infinite order no finite
-    invariant code exists and the refinement does not end.
-    """
-    code = dict(triple_by_dom)  # code word -> (image, local label)
-
-    def split(u):
-        d, lab = code.pop(u)
-        img = lab.images
-        for c in range(1, n + 1):
-            code[u + (c,)] = (d + (img[c - 1],), lab)
-
-    stable = False
-    while not stable:
-        stable = True
-        for c in list(code):
-            if c not in code:
-                continue
-            d = code[c][0]
-            if d in code:
-                continue
-            stable = False
-            above = next((d[:k] for k in range(len(d)) if d[:k] in code), None)
-            split(c if above is None else above)
-    records, seen = [], set()
-    for c in code:
-        if c in seen:
-            continue
-        length, s = 0, Perm.identity(n)
-        while c not in seen:
-            seen.add(c)
-            c, lab = code[c]
-            s = lab * s
-            length += 1
-        records.append((length, s))
-    return records
-
-
 def class_census_experiment(
     n: int, subgroup: Subgroup, p: int, max_leaves: int, report_lines=None
 ) -> int:
@@ -395,11 +345,10 @@ def class_census_experiment(
     is torsion, so its reduced closure is free loops alone, one per cycle of
     the permutation it induces on an invariant prefix code: the census reads
     those records off the triples (`_torsion_loop_records`) and keys the
-    element by ("", `_loop_class` of them), which is what
-    `closed.closure_invariant` gives on that closure.  Since p does not
-    divide ord(H), every record must be (1, id) or (p, id), and the census
-    asserts so.  An element is built only for the first of each class, its
-    representative."""
+    element by ("", `_loop_class` of them), its `closed.conjugacy_invariant`.
+    Since p does not divide ord(H), every record must be (1, id) or (p, id),
+    and the census asserts so.  An element is built only for the first of
+    each class, its representative."""
     _check_arity(n)
     _check_prime(p)
     _check_positive(max_leaves, "leaf bound")
@@ -414,13 +363,19 @@ def class_census_experiment(
         if _collapse_once(n, triple_by_dom):
             continue
         records = _torsion_loop_records(n, triple_by_dom)
-        if any(w not in (1, p) or not s.is_identity() for w, s in records):
+        if records is None:
+            # Refinement hit its code-size cap: the closure decides.
+            key = conjugacy_invariant(element_from_triples(n, subgroup, triple_by_dom))
+        elif not isinstance(records, list) or any(
+            w not in (1, p) or not s.is_identity() for w, s in records
+        ):
             raise AssertionError(
-                "order-p element with p coprime to ord(H) has a loop record "
-                "other than (1, id) or (p, id)"
+                "order-p element with p coprime to ord(H) has no loop records, "
+                "or a loop record other than (1, id) or (p, id)"
             )
-        # gauge_canonical of a closure with no graph part is "".
-        key = ("", _loop_class(records, subgroup))
+        else:
+            # gauge_canonical of a closure with no graph part is "".
+            key = ("", _loop_class(records, subgroup))
         if key not in classes:
             classes[key] = element_from_triples(n, subgroup, triple_by_dom)
     reps = list(classes.values())

@@ -4,14 +4,26 @@ Closing a (p,p,n)-strand diagram glues each main sink to the matching main
 source (`_Graph.glue`, one splice per pair); every closure edge carries
 winding weight 1 and all others 0, so the per-edge integer cochain
 represents the class that counts trips around the annulus.
-`reduced_closure`, the entry point of the conjugacy decision, skips the
-element and diagram objects: it builds the open graph of an element's
-reduced tree pair straight from the reduced triples
-(`diagrams._tree_pair_graph`), glues its sink to its source the same way,
-and reduces that fresh graph in place by the body of `reduce_closed`, which
-works on a copy.  Equality of closed diagrams (`==`, `closed_equal`) is
-equality of the underlying port graph together with that cohomology class,
-decided by spanning-tree normalization inside the canonical serialization.
+`reduced_closure` skips the element and diagram objects: it builds the
+open graph of an element's reduced tree pair straight from the reduced
+triples (`diagrams._tree_pair_graph`), glues its sink to its source the
+same way, and reduces that fresh graph in place by the body of
+`reduce_closed`, which works on a copy.
+
+The conjugacy decision builds a closure only for elements of infinite
+order.  `conjugacy_invariant`, `is_torsion` and `torsion_order` first
+decide torsion on the reduced triples (`elements._torsion_loop_records`):
+a torsion element permutes the words of a finite invariant prefix code,
+and its reduced closure is free loops alone, refinement equivalent to one
+record (cycle length, composite label) per cycle, so its invariant comes
+from those records.  Infinite order is certified by a cone that a power of
+the element maps strictly into itself or onto a larger cone; only then,
+or when the refinement reaches its code-size cap, is the closure of the
+same reduced triples built.
+
+Equality of closed diagrams (`==`, `closed_equal`) is equality of the
+underlying port graph together with that cohomology class, decided by
+spanning-tree normalization inside the canonical serialization.
 `reduce_closed` is not canonical in that sense: its result depends on the
 rewrite schedule and is unique only up to the vertex twists over H and
 coboundaries below, so reduced closures are compared with
@@ -50,6 +62,7 @@ in the census module guards these readings empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -65,7 +78,12 @@ from .diagrams import (
     _to_dot,
     _tree_pair_graph,
 )
-from .elements import TreePairElement, _check_compatible, _reduce_triples
+from .elements import (
+    TreePairElement,
+    _check_compatible,
+    _reduce_triples,
+    _torsion_loop_records,
+)
 from .perms import Perm, Subgroup
 from .rewriting import CochainError, _reduce_graph
 
@@ -454,7 +472,12 @@ def reduced_closure(g: TreePairElement, *, trace=None) -> ClosedDiagram:
     rewrite steps on it and appends them to `trace`.  The fresh graph is
     reduced in place, and the winding check runs once, on the reduced
     result."""
-    graph = _tree_pair_graph(g.n, _reduce_triples(g.n, g.triples()))
+    return _closure_of_reduced(g.n, _reduce_triples(g.n, g.triples()), trace)
+
+
+def _closure_of_reduced(n, reduced, trace=None) -> ClosedDiagram:
+    """`reduced_closure` of the element whose reduced triples are `reduced`."""
+    graph = _tree_pair_graph(n, reduced)
     graph.glue([(graph.sinks[0], graph.sources[0])], 1)
     return _reduce_closed_graph(graph, trace=trace)
 
@@ -470,32 +493,55 @@ def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):
 
 def conjugacy_invariant(g: TreePairElement):
     """Hashable complete invariant: two elements are conjugate iff their
-    invariants are equal."""
-    return closure_invariant(reduced_closure(g), g.subgroup)
+    invariants are equal.
+
+    A torsion element's reduced closure is free loops alone, refinement
+    equivalent to the loop records `_torsion_loop_records` reads off its
+    reduced triples, so its invariant is ("", `_loop_class` of them) and no
+    closure is built.  Any other element, or one the records leave
+    undecided, takes the closure of the same reduced triples."""
+    n = g.n
+    reduced = _reduce_triples(n, g.triples())
+    records = _torsion_loop_records(n, reduced)
+    if isinstance(records, list):
+        # gauge_canonical of a closure with no graph part is "".
+        return "", _loop_class(records, g.subgroup)
+    return closure_invariant(_closure_of_reduced(n, reduced), g.subgroup)
 
 
 def are_conjugate(f: TreePairElement, g: TreePairElement) -> bool:
-    """Conjugacy in V_n(H): reduce both tree pairs, build their closed
-    diagrams from the reduced triples, reduce those, and compare up to
-    conjugating transformations."""
+    """Conjugacy in V_n(H): compare the complete invariants of f and g, read
+    off the loop records of a torsion element's reduced triples, and
+    otherwise off the reduced closed diagram built from them."""
     _check_compatible(f, g)
     return conjugacy_invariant(f) == conjugacy_invariant(g)
 
 
+def _torsion_records(g: TreePairElement):
+    """g's loop records, None when g has infinite order; decided on the
+    reduced triples, or on the reduced closure when they leave it open."""
+    n = g.n
+    reduced = _reduce_triples(n, g.triples())
+    records = _torsion_loop_records(n, reduced)
+    if records is None:
+        cd = _closure_of_reduced(n, reduced)
+        return None if cd.has_graph_part() else cd._g.free_loops
+    return records if isinstance(records, list) else None
+
+
 def is_torsion(g: TreePairElement) -> bool:
-    """True iff the reduced closure consists solely of free loops."""
-    return not reduced_closure(g).has_graph_part()
+    """True iff g has finite order: its reduced triples give loop records
+    (equivalently, its reduced closure consists solely of free loops)."""
+    return _torsion_records(g) is not None
 
 
 def torsion_order(g: TreePairElement):
-    """Order computed from the reduced closure: lcm over loops of
-    winding * ord(label); None when g is not torsion."""
-    import math
-
-    cd = reduced_closure(g)
-    if cd.has_graph_part():
+    """Order of g, lcm over its loop records (L, s) of L * ord(s); None when
+    g is not torsion."""
+    records = _torsion_records(g)
+    if records is None:
         return None
     out = 1
-    for winding, label in cd._g.free_loops:
-        out = math.lcm(out, winding * label.order())
+    for length, label in records:
+        out = math.lcm(out, length * label.order())
     return out

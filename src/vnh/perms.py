@@ -130,13 +130,22 @@ def _closure(n, generators):
 class Subgroup:
     """A subgroup H <= Sym(n), enumerated in full.
 
-    Carries membership, per-element conjugacy classes, canonical class
-    representatives (minimum image tuple in the class), and the per-class
-    caches of the free-loop layer: the orbit refinement table and the memo
-    of `closed._loop_class`.
+    Carries membership (`_members` maps each element to the subgroup's own
+    instance of it, which elements store as their labels), per-element
+    conjugacy classes, canonical class representatives (minimum image tuple
+    in the class), and the per-class caches of the free-loop layer: the
+    orbit refinement table and the memo of `closed._loop_class`.
     """
 
-    __slots__ = ("n", "generators", "elements", "_class_rep", "_refinements", "_loop_classes")
+    __slots__ = (
+        "n",
+        "generators",
+        "elements",
+        "_members",
+        "_class_rep",
+        "_refinements",
+        "_loop_classes",
+    )
 
     def __init__(self, n: int, generators=()):
         # Repeated generators are dropped, keeping the first of each; for
@@ -148,6 +157,7 @@ class Subgroup:
         self.n = n
         self.generators = generators
         self.elements = _closure(n, generators)
+        self._members = {p: p for p in self.elements}
         self._class_rep = {}
         self._refinements = {}
         self._loop_classes = {}

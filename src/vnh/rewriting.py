@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import MERGE, SIGMA, SPLIT, StrandDiagram
+from .diagrams import MERGE, SIGMA, SPLIT, DiagramError, StrandDiagram
 
 
 class StaleRedexError(ValueError):
@@ -298,7 +298,9 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
     rule "II": `edges`, an ordered tuple of n distinct edges, each cut
     through a new merge/split pair sharing their 0-edge (identity case);
     `sigma_vertices`, n same-labelled vertices, pull their label back to a
-    single sigma-vertex between the new merge and split.
+    single sigma-vertex between the new merge and split.  A type II inverse
+    whose new pair closes a cycle (open diagram) or a loop of winding <= 0
+    (closed diagram) raises `DiagramError`.
     """
     g = d._g.copy()
     n = g.n
@@ -324,6 +326,11 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
         g.add_strand(m, 0, s, 0, label)
         for i, (anchor, j) in enumerate(zip(anchors, ports), start=1):
             _rewire(g, anchor, on_sigma, (m, i), (s, j))
+        # On a closed graph the new merge-split pair may close a loop of
+        # winding <= 0, the counterpart of the cycle that cutting edges of
+        # one path makes in an open graph: both are refused as input errors.
+        if not g.sources and not g.sinks and not g.positive_on_loops():
+            raise DiagramError("the inverse type II move closes a loop of winding <= 0")
     return type(d)(g)
 
 

@@ -12,7 +12,6 @@ from vnh.census import (
     _order_exactly,
     _order_p_candidates,
     _prober,
-    _torsion_loop_records,
     class_census_experiment,
     count_congruence_solutions,
     count_order_p_classes,
@@ -31,6 +30,7 @@ from vnh.elements import (
     _candidates,
     _collapse_once,
     _reduce_triples,
+    _torsion_loop_records,
     compose,
     element_from_triples,
     element_order,
