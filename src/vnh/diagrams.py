@@ -74,6 +74,9 @@ class _Graph:
         self.free_loops = []  # (winding, Perm) records, closed graphs only
         self._next_v = 0
         self._next_e = 0
+        # Tails of the edges added, deleted or re-ended since the rewrite
+        # driver last read them, while it tracks them; None otherwise.
+        self._touched = None
 
     # -- construction ----------------------------------------------------
 
@@ -99,6 +102,8 @@ class _Graph:
         self.edges[eid] = [tail, tport, head, hport, weight]
         self.out_at[(tail, tport)] = eid
         self.in_at[(head, hport)] = eid
+        if self._touched is not None:
+            self._touched.add(tail)
         return eid
 
     def add_strand(self, tail, tport, head, hport, label=None):
@@ -116,6 +121,8 @@ class _Graph:
         tail, tport, head, hport, _ = self.edges.pop(eid)
         del self.out_at[(tail, tport)]
         del self.in_at[(head, hport)]
+        if self._touched is not None:
+            self._touched.add(tail)
 
     def del_vertex(self, vid):
         kind = self.kind.pop(vid)
@@ -132,12 +139,17 @@ class _Graph:
             raise DiagramError("port already in use")
         rec[2], rec[3] = head, hport
         self.in_at[(head, hport)] = eid
+        if self._touched is not None:
+            self._touched.add(rec[0])
 
     def set_tail(self, eid, tail, tport):
         rec = self.edges[eid]
         del self.out_at[(rec[0], rec[1])]
         if (tail, tport) in self.out_at:
             raise DiagramError("port already in use")
+        if self._touched is not None:
+            self._touched.add(rec[0])
+            self._touched.add(tail)
         rec[0], rec[1] = tail, tport
         self.out_at[(tail, tport)] = eid
 
@@ -555,13 +567,13 @@ def cut_diagram(d: StrandDiagram):
     one sigma-vertex, then merges; cutting between the split and merge
     blocks recovers the reduced tree pair.
     """
-    from .rewriting import find_redexes
+    from .rewriting import _redexes_at
 
     if d.p != 1 or d.q != 1:
         raise DiagramError(f"cut requires a (1,1,n) diagram, got ({d.p},{d.q})")
-    if find_redexes(d):
-        raise NotReducedError("diagram is not reduced")
     g = d._g
+    if any(_redexes_at(g, v, []) for v in g.kind):
+        raise NotReducedError("diagram is not reduced")
     n = g.n
 
     dom_cuts = []

@@ -15,7 +15,8 @@ a sigma-vertex applies its label letter-wise to the remaining tail):
 Every redex lives at its first anchor, a vertex: type I at its split,
 type II and the upward IV (merge, sigma) at the merge, type III and the
 downward IV (sigma, split) at the first sigma-vertex.  `_redexes_at` finds
-the redexes at one vertex and `_find` runs it over the graph.
+the redexes at one vertex and `_find` runs it over the whole graph; the
+driver runs it over the graph once, then only where each step touched it.
 `apply_reduction` checks a redex once, by finding it again at its first
 anchor, and the rule bodies apply it without matching it again.
 
@@ -30,15 +31,21 @@ one leaves a sigma self-loop.  The inverse moves cut their anchors open
 (`_rewire`) and add the new strands by `diagrams._Graph.add_strand`.
 
 `reduce` and `closed.reduce_closed` run one driver, `_reduce_graph`.  It
-picks redexes by the plain key (rule priority, anchor ids), or at random
-when given an `rng`, and never serializes a diagram.  Open diagrams reduce
-by I-IV to a unique form whatever the order (local confluence).  Closed
-diagrams reduce by I-III to a form unique only up to vertex twists over H
-and coboundary; `closed.gauge_canonical` compares them.
+keeps the redex set across steps, grouped by first anchor, and rematches
+only the tails of the edges a step added, deleted or re-ended (which
+`diagrams._Graph` records while the driver tracks them), plus the
+in-neighbour of each such tail that is a sigma-vertex.  It picks redexes
+by the plain key (rule priority, anchor ids), or at random from the
+sorted set when given an `rng`, and never serializes a diagram.  Open
+diagrams reduce by I-IV to a unique form whatever the order (local
+confluence).  Closed diagrams reduce by I-III to a form unique only up to
+vertex twists over H and coboundary; `closed.gauge_canonical` compares
+them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .diagrams import MERGE, SIGMA, SPLIT, DiagramError, StrandDiagram
@@ -334,9 +341,26 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
     return type(d)(g)
 
 
+def _key(redex):
+    return _PRIORITY[redex.rule], redex.anchors
+
+
 def _order(redexes):
     """The driver's redex order: rule priority, then anchor vertex ids."""
-    return sorted(redexes, key=lambda r: (_PRIORITY[r.rule], r.anchors))
+    return sorted(redexes, key=_key)
+
+
+def _rematch(g, vertices, at, closed):
+    """Set `at[v]` ({first anchor: redexes}) to the redexes now at each of
+    `vertices`, dropping the vertices with none; closed graphs leave out IV."""
+    for v in vertices:
+        found = _redexes_at(g, v, [])
+        if closed:
+            found = [r for r in found if r.rule != "IV"]
+        if found:
+            at[v] = found
+        else:
+            at.pop(v, None)
 
 
 def _reduce_graph(g, *, rng=None, trace=None):
@@ -354,6 +378,21 @@ def _reduce_graph(g, *, rng=None, trace=None):
     through a split on a path that starts at a split, so between two I/II
     steps no sigma reverses direction in the acyclic skeleton.
 
+    The redex set is kept across steps, grouped by first anchor, and after
+    a step only the vertices whose redexes it can have changed are
+    rematched.  That set is exact.  A redex at v reads v's out-edges (head,
+    port, weight) and, past a sigma-vertex h at the head of one, h's
+    out-edge; beyond these it reads only kinds and labels, which never
+    change, and vertex ids are never reused.  So a step changes the
+    redexes at v only by adding, deleting or re-ending an out-edge of v or
+    of a sigma-vertex that v feeds; a weight changes only on an edge the
+    same splice re-ends, and a deleted vertex has lost its out-edges.
+    While the driver tracks them, `_Graph` records the tail of each such
+    edge, the old and the new one when the tail moves, and the driver adds
+    the in-neighbour of each recorded sigma-vertex h.  If h's in-edge
+    changed, its tails are recorded with it; otherwise h has the same
+    in-neighbour before and after the step.
+
     The result is reduced but depends on the schedule: for closed graphs it
     is unique only up to vertex twists over H and coboundary.  Winding is
     not checked per step: I-III sum weights along the paths they replace,
@@ -362,14 +401,23 @@ def _reduce_graph(g, *, rng=None, trace=None):
     if trace is None:
         trace = []
     closed = not g.sources and not g.sinks
-    while True:
-        redexes = [r for r in _find(g) if not (closed and r.rule == "IV")]
-        if not redexes:
-            return trace
-        redexes = _order(redexes)
-        redex = redexes[0] if rng is None else rng.choice(redexes)
-        _apply(g, redex)
-        trace.append((redex.rule, redex.anchors))
+    at = {}
+    _rematch(g, g.kind, at, closed)
+    g._touched = touched = set()
+    try:
+        while at:
+            live = itertools.chain.from_iterable(at.values())
+            redex = min(live, key=_key) if rng is None else rng.choice(_order(live))
+            _apply(g, redex)
+            trace.append((redex.rule, redex.anchors))
+            touched.update(
+                [g.edges[g.in_at[(t, 0)]][0] for t in touched if g.kind.get(t) == SIGMA]
+            )
+            _rematch(g, touched, at, closed)
+            touched.clear()
+    finally:
+        g._touched = None
+    return trace
 
 
 def reduce(d: StrandDiagram, *, rng=None, trace=None) -> StrandDiagram:

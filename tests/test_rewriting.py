@@ -17,6 +17,7 @@ from vnh.diagrams import (
     DiagramError,
     StrandDiagram,
     _Graph,
+    _tree_pair_graph,
     build_diagram,
     concatenate,
     diagram_equal,
@@ -24,6 +25,7 @@ from vnh.diagrams import (
 )
 from vnh.elements import (
     TreePairElement,
+    _reduce_triples,
     expand_representative,
     identity_element,
     random_element,
@@ -48,6 +50,7 @@ from vnh.rewriting import (
     format_trace,
     reduce,
 )
+from vnh.trees import random_tree
 
 
 def neg_shift(n):
@@ -1335,3 +1338,110 @@ def test_inverse_move_rejections():
             with pytest.raises(ValueError) as info:
                 apply(d, rule, **kwargs)
             assert info.type is ValueError
+
+
+# -- the driver's redex set against a full rescan per step ----------------------
+#
+# `_reference_reduce_graph` is the library's driver as it stood before it
+# kept its redex set across steps: every step rescans the whole graph with
+# `_find`.  It is copied verbatim apart from the `_reference` prefix on its
+# name and its docstring.
+
+
+def _reference_reduce_graph(g, *, rng=None, trace=None):
+    if trace is None:
+        trace = []
+    closed = not g.sources and not g.sinks
+    while True:
+        redexes = [r for r in _find(g) if not (closed and r.rule == "IV")]
+        if not redexes:
+            return trace
+        redexes = _order(redexes)
+        redex = redexes[0] if rng is None else rng.choice(redexes)
+        _apply(g, redex)
+        trace.append((redex.rule, redex.anchors))
+
+
+def _element_with_carets(n, h, carets, rng):
+    """A random element with exactly `carets` carets in each tree."""
+    k = 1 + carets * (n - 1)
+    tau = list(range(1, k + 1))
+    rng.shuffle(tau)
+    elems = sorted(h.elements)
+    labels = tuple(rng.choice(elems) for _ in tau)
+    return TreePairElement(n, h, random_tree(n, k, rng), random_tree(n, k, rng), tuple(tau), labels)
+
+
+def _product_graph(factors):
+    d = build_diagram(factors[0])
+    for f in factors[1:]:
+        d = concatenate(d, build_diagram(f))
+    return d._g
+
+
+def _reduced_closure_graph(g):
+    """The unreduced graph `closed.reduced_closure` reduces: the closure of
+    g's reduced tree pair."""
+    graph = _tree_pair_graph(g.n, _reduce_triples(g.n, g.triples()))
+    graph.glue([(graph.sinks[0], graph.sources[0])], 1)
+    return graph
+
+
+def _driver_inputs(n, h, rng):
+    """Open products of 2-4 small factors and closures of one, then an open
+    product of three 6-caret factors and the reduced closure of a 16-caret
+    element."""
+    for _ in range(12):
+        yield _product_graph([_random_factor(n, h, rng) for _ in range(rng.randint(2, 4))])
+        yield close(build_diagram(_random_factor(n, h, rng)))._g
+    yield _product_graph([_element_with_carets(n, h, 6, rng) for _ in range(3)])
+    yield _reduced_closure_graph(_element_with_carets(n, h, 16, rng))
+
+
+def test_driver_matches_a_full_rescan_per_step():
+    rules = set()
+    for name, (n, h, _) in sorted(CLOSURE_GROUPS.items()):
+        rng = random.Random(f"driver/{name}")
+        for graph in _driver_inputs(n, h, rng):
+            for seed in (None, rng.random(), rng.random()):
+                g, ref = graph.copy(), graph.copy()
+                pick = None if seed is None else random.Random(seed)
+                pick_ref = None if seed is None else random.Random(seed)
+                trace = _reduce_graph(g, rng=pick)
+                assert trace == _reference_reduce_graph(ref, rng=pick_ref)
+                assert (g.kind, g.label, g.edges) == (ref.kind, ref.label, ref.edges)
+                assert g.free_loops == ref.free_loops
+                assert g._touched is None
+                rules |= {rule for rule, _ in trace}
+            if graph.sources:
+                d = reduce(StrandDiagram._trusted(graph))
+            else:
+                d = reduce_closed(ClosedDiagram(graph))
+            assert d._g._touched is None
+            assert d._g.copy()._touched is None
+    assert rules == set(_PRIORITY)
+
+
+def test_driver_rematches_a_bounded_number_of_vertices_per_step(monkeypatch):
+    # The first scan visits every vertex once.  After that a step rematches
+    # the tails of the edges it added, deleted or re-ended and the
+    # in-neighbours of those that are sigma-vertices: a few per step on
+    # average, O(n) at most.  A full rescan would visit |V| per step.
+    calls = 0
+
+    def counting(g, v, out):
+        nonlocal calls
+        calls += 1
+        return _redexes_at(g, v, out)
+
+    s3, s4 = Subgroup.symmetric(3), Subgroup.symmetric(4)
+    closure = _reduced_closure_graph(_element_with_carets(3, s3, 256, random.Random("count/V3(S3)")))
+    rng = random.Random("count/V4(S4)")
+    product = _product_graph([_element_with_carets(4, s4, 8, rng) for _ in range(4)])
+    monkeypatch.setattr(vnh.rewriting, "_redexes_at", counting)
+    for g in (closure, product):
+        calls = 0
+        vertices = len(g.kind)
+        steps = len(_reduce_graph(g))
+        assert steps > 100
+        assert calls <= vertices + (2 * g.n + 4) * steps
