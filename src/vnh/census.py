@@ -15,8 +15,10 @@ directly, never by enumerating tuples.
 The oracle and the census run on the triple view of tree-pair candidates,
 {domain address: (range address, label)}: the oracle composes and reduces
 no element, and the census builds one only for each class representative.
-The oracle first tests each candidate h at a few points x, where a witness
-must have f(h(x)) = h(g(x)); it composes and reduces h^-1 f h, the exact
+The oracle reads each candidate's triples off the leaf addresses of its
+shape block, computed once per block, and first tests h at a few points
+x, where a witness must have f(h(x)) = h(g(x)); f's images of the points
+are kept for the call.  It composes and reduces h^-1 f h, the exact
 compare that decides, only for the candidates that pass.
 The census searches every (domain, range) shape block.  Within a block a
 depth-first search assigns each domain leaf a (range leaf, label) and
@@ -44,6 +46,7 @@ from .elements import (
     _compose_triples,
     _invert_triples,
     _is_identity,
+    _leaf_triples,
     _reduce_triples,
     _shape_blocks,
     _torsion_loop_records,
@@ -155,16 +158,37 @@ def _commutes_at_probes(n, f_triples, g_triples):
     (range address, label)} of any representatives: `passes(h_triples)` is
     True iff f(h(x)) = h(g(x)) at every probe point x = a c c c ..., one
     per domain leaf a of g and letter c.  A witness has f o h = h o g, so
-    it passes; the images g(x) are computed once, here."""
+    it passes.  The images g(x) are computed once, here, and each image
+    f(y) once per point y the candidates send a probe to: `f_at` is keyed
+    by y's unique form (prefix, c), so a hit is exact, and it lives as long
+    as `passes`."""
     probes = [(a, c, _at_point(g_triples, a, c)) for a in g_triples for c in range(1, n + 1)]
+    f_at = {}
 
     def passes(h_triples):
-        return all(
-            _at_point(f_triples, *_at_point(h_triples, a, c)) == _at_point(h_triples, *gx)
-            for a, c, gx in probes
-        )
+        for a, c, gx in probes:
+            hx = _at_point(h_triples, a, c)
+            fhx = f_at.get(hx)
+            if fhx is None:
+                fhx = f_at[hx] = _at_point(f_triples, *hx)
+            if fhx != _at_point(h_triples, *gx):
+                return False
+        return True
 
     return passes
+
+
+def _with_triples(elements):
+    """Each element h as (h, h's triples), reading the leaf addresses of a
+    tree again only when h's tree is a different object from the last h's:
+    the candidates of one shape block of `reduced_elements` share theirs."""
+    dom = ran = None
+    for h in elements:
+        if h.domain_tree is not dom:
+            dom, dom_addrs = h.domain_tree, h.domain_addresses()
+        if h.range_tree is not ran:
+            ran, ran_addrs = h.range_tree, h.range_addresses()
+        yield h, _leaf_triples(dom_addrs, ran_addrs, h.tau, h.labels)
 
 
 def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
@@ -173,20 +197,21 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     (inconclusive -- the oracle is one-sided, silence is not a verdict).
 
     The search runs in the triple view.  Each candidate h of
-    `reduced_elements` is first tested at the probe points of the reduced
-    g by point evaluation alone (`_commutes_at_probes`), which rejects
-    nearly every non-witness and never a witness.  The exact compare still
-    decides: for a candidate that passes, the triples of h^-1 f h are
-    composed by merge and collapsed without building a tree or an element,
-    and reduced triples are equal exactly when the homeomorphisms are."""
+    `reduced_elements` gets its triples from leaf addresses read once per
+    shape block (`_with_triples`), and is first tested at the probe points
+    of the reduced g by point evaluation alone (`_commutes_at_probes`),
+    which rejects nearly every non-witness and never a witness.  The exact
+    compare still decides: for a candidate that passes, the triples of
+    h^-1 f h are composed by merge and collapsed without building a tree
+    or an element, and reduced triples are equal exactly when the
+    homeomorphisms are."""
     _check_compatible(f, g)
     _check_positive(max_leaves, "leaf bound")
     n = f.n
     target = _reduce_triples(n, g.triples())
     f_triples = f.triples()
     passes = _commutes_at_probes(n, f_triples, target)
-    for h in reduced_elements(n, f.subgroup, max_leaves):
-        h_triples = h.triples()
+    for h, h_triples in _with_triples(reduced_elements(n, f.subgroup, max_leaves)):
         if not passes(h_triples):
             continue
         conj = _compose_triples(_compose_triples(_invert_triples(h_triples), f_triples), h_triples)

@@ -24,11 +24,12 @@ the dict, equality and order compare reduced dicts, and inversion swaps
 each entry.  Torsion is decided on the dict as well
 (`_torsion_loop_records`): it ends with the loop records of an invariant
 prefix code, or with a cone that a power of the element maps strictly
-into itself or onto a larger cone.  Elements, with their trees and
-validation, are built only for what a caller receives: the enumeration
-builds one per reduced element it yields, on the shape trees it already
-holds; the oracle builds none for its intermediate products, and the
-census (`element_from_triples`) only its class representatives.
+into itself or onto a larger cone.  Elements are built only for what a
+caller receives: the enumeration builds one per reduced element it
+yields, unchecked, on the shape trees, permutations and H-instances it
+already holds (`TreePairElement._trusted`); the oracle builds none for
+its intermediate products, and the census (`element_from_triples`, which
+validates) only its class representatives.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class TreePairElement:
     labels: tuple  # labels[j-1] = Perm attached to range leaf j
 
     def __post_init__(self):
+        if self.subgroup.n != self.n:
+            raise ValueError(f"subgroup H acts on {self.subgroup.n} letters, not n = {self.n}")
         validate_tree(self.domain_tree, self.n)
         validate_tree(self.range_tree, self.n)
         k = leaf_count(self.domain_tree)
@@ -88,6 +91,27 @@ class TreePairElement:
             raise ValueError(f"label {exc.args[0]!r} not in H") from None
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _trusted(cls, n, subgroup, domain_tree, range_tree, tau, labels) -> "TreePairElement":
+        """Element from fields already known to be valid, without the checks
+        in ``__post_init__``.  The caller vouches for what those check: H
+        acts on n letters, both trees are n-ary trees with the same leaf
+        count k (as `all_trees(n, k)` builds them), tau is a permutation of
+        1..k, and labels is a tuple of k of H's own instances (values of
+        `subgroup._members`).  The element then equals the validated one,
+        label instance for instance."""
+        e = object.__new__(cls)
+        # A frozen dataclass refuses setattr; its fields live in __dict__.
+        e.__dict__.update(
+            n=n,
+            subgroup=subgroup,
+            domain_tree=domain_tree,
+            range_tree=range_tree,
+            tau=tau,
+            labels=labels,
+        )
+        return e
+
     @property
     def k(self) -> int:
         return len(self.tau)
@@ -100,9 +124,7 @@ class TreePairElement:
 
     def triples(self):
         """{domain address: (range address, label)}, in domain-leaf order."""
-        ran = self.range_addresses()
-        labels = self.labels
-        return {a: (ran[j - 1], labels[j - 1]) for a, j in zip(self.domain_addresses(), self.tau)}
+        return _leaf_triples(self.domain_addresses(), self.range_addresses(), self.tau, self.labels)
 
     def key(self):
         """Hashable identity of the representative (not of the homeomorphism)."""
@@ -122,6 +144,13 @@ class TreePairElement:
             f"TreePairElement(n={self.n}, {format_tree(self.domain_tree)} -> "
             f"{format_tree(self.range_tree)}, tau={list(self.tau)}, labels={labs})"
         )
+
+
+def _leaf_triples(dom_addrs, ran_addrs, tau, labels):
+    """{domain address: (range address, label)}, in domain-leaf order, from
+    the leaf addresses of both trees, tau and the labels: domain leaf i goes
+    to range leaf tau[i-1], which carries labels[tau[i-1]-1]."""
+    return {a: (ran_addrs[j - 1], labels[j - 1]) for a, j in zip(dom_addrs, tau)}
 
 
 def element_from_triples(n, subgroup, triple_by_dom) -> TreePairElement:
@@ -533,8 +562,11 @@ def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):
     Each homeomorphism with a representative in range appears exactly once,
     as its reduced tree pair.  Reduction is tested on the triple view of each
     candidate (see `_candidates`), and only the reduced candidates are built
-    (and validated) as elements.
+    as elements, unchecked (`TreePairElement._trusted`): their trees come
+    from `all_trees`, tau from `permutations` and the labels are H's own
+    instances, so each equals the validated element.  The candidates of one
+    shape block share their tree objects.
     """
     for dom, ran, tau, labels, triple_by_dom in _candidates(n, subgroup, max_leaves):
         if not _collapse_once(n, triple_by_dom):
-            yield TreePairElement(n, subgroup, dom, ran, tau, labels)
+            yield TreePairElement._trusted(n, subgroup, dom, ran, tau, labels)

@@ -59,7 +59,7 @@ class Perm:
         return Perm._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def order(self) -> int:
         k, p = 1, self

@@ -12,6 +12,7 @@ from vnh.census import (
     _order_exactly,
     _order_p_candidates,
     _prober,
+    _with_triples,
     class_census_experiment,
     count_congruence_solutions,
     count_order_p_classes,
@@ -287,7 +288,9 @@ def test_oracle_builds_only_the_candidates_it_scans(monkeypatch):
     # The oracle takes its candidates from `vnh.census.reduced_elements`,
     # looked up at call time so that a wrapper installed there sees them,
     # and composes and reduces on triples: the only elements built during a
-    # search are the candidates, and a hit returns the last one.
+    # search are the candidates, and a hit returns the last one.  Elements
+    # are counted on both paths that build them: the validating constructor
+    # and the unchecked `_trusted` the enumeration uses.
     h = Subgroup.symmetric(2)
     one, s = Perm.identity(2), Perm((2, 1))
     f = TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), (2, 1), (one, s))
@@ -311,6 +314,14 @@ def test_oracle_builds_only_the_candidates_it_scans(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(TreePairElement, "__post_init__", counting)
+    trusted = TreePairElement._trusted
+
+    def counting_trusted(cls, *fields):
+        e = trusted(*fields)
+        built.append(e)
+        return e
+
+    monkeypatch.setattr(TreePairElement, "_trusted", classmethod(counting_trusted))
     found = oracle_conjugate(f, g, 4)
     assert found is scanned[-1]
     assert [id(e) for e in built] == [id(e) for e in scanned]
@@ -319,6 +330,26 @@ def test_oracle_builds_only_the_candidates_it_scans(monkeypatch):
     assert oracle_conjugate(f, miss, 4) is None
     assert len(scanned) > 1
     assert [id(e) for e in built] == [id(e) for e in scanned]
+
+
+@pytest.mark.parametrize(
+    "n, h, bound",
+    [(2, Subgroup.trivial(2), 5), (2, Subgroup.symmetric(2), 4), (3, Subgroup.symmetric(3), 3)],
+    ids=["V2(Id)", "V2(Z2)", "V3(S3)"],
+)
+def test_trusted_candidates_are_validated_elements(n, h, bound):
+    # `reduced_elements` builds its elements unchecked; each must be the
+    # element the validating constructor builds from the same fields, hold
+    # H's own label instances, and give the oracle the triples the element
+    # itself reports, in the same order.
+    count = 0
+    for e, triples in _with_triples(reduced_elements(n, h, bound)):
+        checked = TreePairElement(n, h, e.domain_tree, e.range_tree, e.tau, e.labels)
+        assert e == checked
+        assert all(lab is h._members[lab] for lab in e.labels)
+        assert list(triples.items()) == list(checked.triples().items())
+        count += 1
+    assert count > 1
 
 
 def _reference_oracle(f, g, max_leaves):

@@ -44,6 +44,14 @@ def caret_swap_v2(h=None):
     return TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), (2, 1), (one, one))
 
 
+def test_element_refuses_subgroup_of_another_degree():
+    # S2 holds the identity of Sym(2), so the labels alone would pass; the
+    # degree of H must be n.
+    caret = (LEAF,) * 3
+    with pytest.raises(ValueError, match="not n = 3"):
+        TreePairElement(3, Subgroup.symmetric(2), caret, caret, (1, 2, 3), (Perm((1, 2)),) * 3)
+
+
 def eval_on_depth(g, d):
     """Images of all depth-d branches under g (d at least the domain depth)."""
     words = list(itertools.product(range(1, g.n + 1), repeat=d))
