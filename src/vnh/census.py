@@ -26,10 +26,11 @@ abandons a partial assignment as soon as one of the order test's probes,
 all of whose leaves are assigned, fails; a candidate is tested for
 reduction only once every probe has passed.  A reduced order-p candidate
 is bucketed by the loop records of the permutation it induces on an
-invariant prefix code, read off its triples with no diagram built
-(`elements._torsion_loop_records`, which `closed.conjugacy_invariant` reads
-for every torsion element too), and the first candidate of each class is
-the representative it reports.
+invariant prefix code, read off its triples with no diagram built by
+`closed._torsion_records`, the one reader of torsion, which
+`closed.conjugacy_invariant` calls for every element too.  The key is
+`closed._torsion_invariant` of the records, and the first candidate of
+each class is the representative it reports.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closed import _loop_class, conjugacy_invariant
+from .closed import _torsion_invariant, _torsion_records
 from .elements import (
     TreePairElement,
     _at_point,
@@ -49,7 +50,6 @@ from .elements import (
     _leaf_triples,
     _reduce_triples,
     _shape_blocks,
-    _torsion_loop_records,
     element_from_triples,
     reduced_elements,
 )
@@ -105,15 +105,22 @@ def count_order_p_classes(n: int, p: int, ord_p: int) -> int:
     from the cyclic-group congruence instance (transitive Z_p-spaces have
     sizes 1 and p) minus the trivial homomorphism.
     """
-    _check_arity(n)
-    _check_prime(p)
-    _check_positive(ord_p, "group order")
-    if (n - 1) % p == 0:
-        raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
-    if ord_p % p == 0:
-        raise ValueError(f"p = {p} divides ord(P) = {ord_p}")
+    _check_order_p(n, p, ord_p, "P")
     inst = CongruenceInstance(n, (1, p))
     return count_congruence_solutions(inst) - 1
+
+
+def _check_order_p(n: int, p: int, order: int, group: str):
+    """The preconditions of the order-p class count over a group of the given
+    order, named `group` in messages: arity n >= 2, p prime, order >= 1, and
+    p dividing neither n - 1 nor the order."""
+    _check_arity(n)
+    _check_prime(p)
+    _check_positive(order, "group order")
+    if (n - 1) % p == 0:
+        raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
+    if order % p == 0:
+        raise ValueError(f"p = {p} divides ord({group}) = {order}")
 
 
 def _check_arity(n: int):
@@ -369,38 +376,27 @@ def class_census_experiment(
     and reduction is tested only on the order-p candidates.  A reduced one
     is torsion, so its reduced closure is free loops alone, one per cycle of
     the permutation it induces on an invariant prefix code: the census reads
-    those records off the triples (`_torsion_loop_records`) and keys the
-    element by ("", `_loop_class` of them), its `closed.conjugacy_invariant`.
-    Since p does not divide ord(H), every record must be (1, id) or (p, id),
-    and the census asserts so.  An element is built only for the first of
-    each class, its representative."""
-    _check_arity(n)
-    _check_prime(p)
+    those records off the triples (`closed._torsion_records`) and keys the
+    element by `closed._torsion_invariant` of them, its
+    `closed.conjugacy_invariant`.  Since p does not divide ord(H), every
+    record must be (1, id) or (p, id), and the census asserts so.  An
+    element is built only for the first of each class, its
+    representative."""
+    _check_order_p(n, p, subgroup.order, "H")
     _check_positive(max_leaves, "leaf bound")
-    if (n - 1) % p == 0:
-        raise ValueError(f"p = {p} divides n - 1 = {n - 1}")
-    if subgroup.order % p == 0:
-        raise ValueError(f"p = {p} divides ord(H) = {subgroup.order}")
     classes = {}  # conjugacy invariant -> first element of the class
     for triple_by_dom in _order_p_candidates(n, subgroup, p, max_leaves):
         # _collapse_once mutates the dict only when it finds a collapse, and
         # an unreduced candidate is dropped.
         if _collapse_once(n, triple_by_dom):
             continue
-        records = _torsion_loop_records(n, triple_by_dom)
-        if records is None:
-            # Refinement hit its code-size cap: the closure decides.
-            key = conjugacy_invariant(element_from_triples(n, subgroup, triple_by_dom))
-        elif not isinstance(records, list) or any(
-            w not in (1, p) or not s.is_identity() for w, s in records
-        ):
+        records = _torsion_records(n, triple_by_dom)
+        if records is None or any(w not in (1, p) or not s.is_identity() for w, s in records):
             raise AssertionError(
                 "order-p element with p coprime to ord(H) has no loop records, "
                 "or a loop record other than (1, id) or (p, id)"
             )
-        else:
-            # gauge_canonical of a closure with no graph part is "".
-            key = ("", _loop_class(records, subgroup))
+        key = _torsion_invariant(records, subgroup)
         if key not in classes:
             classes[key] = element_from_triples(n, subgroup, triple_by_dom)
     reps = list(classes.values())

@@ -23,7 +23,7 @@ from .io import element_from_json, element_to_json, subgroup_from_spec
 from .rewriting import CochainError, format_trace, reduce
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     pass
 
 
@@ -205,9 +205,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,15 +11,17 @@ same way, and reduces that fresh graph in place by the body of
 `reduce_closed`, which works on a copy.
 
 The conjugacy decision builds a closure only for elements of infinite
-order.  `conjugacy_invariant`, `is_torsion` and `torsion_order` first
-decide torsion on the reduced triples (`elements._torsion_loop_records`):
-a torsion element permutes the words of a finite invariant prefix code,
+order.  Torsion is decided on the reduced triples by one reader,
+`_torsion_records`, which `conjugacy_invariant`, `is_torsion`,
+`torsion_order` and the census all call: a torsion element permutes the
+words of a finite invariant prefix code (`elements._torsion_loop_records`),
 and its reduced closure is free loops alone, refinement equivalent to one
 record (cycle length, composite label) per cycle, so its invariant comes
-from those records.  Infinite order is certified by a cone that a power of
-the element maps strictly into itself or onto a larger cone; only then,
-or when the refinement reaches its code-size cap, is the closure of the
-same reduced triples built.
+from those records (`_torsion_invariant`).  Infinite order is certified by
+a cone that a power of the element maps strictly into itself or onto a
+larger cone; only then, or when the refinement reaches its code-size cap
+and `_torsion_records` falls back on it, is the closure of the same
+reduced triples built.
 
 Equality of closed diagrams (`==`, `closed_equal`) is equality of the
 underlying port graph together with that cohomology class, decided by
@@ -106,7 +108,7 @@ class ClosedDiagram:
     weights positive on every directed loop, plus free-loop records."""
 
     def __init__(self, graph: _Graph):
-        if graph.sources or graph.sinks:
+        if not graph.is_closed():
             raise DiagramError("closed diagram cannot have main sources or sinks")
         for kind in graph.kind.values():
             if kind not in (SPLIT, MERGE, SIGMA):
@@ -169,12 +171,7 @@ class ClosedDiagram:
         )
 
     def to_dot(self):
-        return _to_dot(
-            self._g,
-            self.canonical_order(),
-            with_weights=True,
-            loop_records=self._g.free_loops,
-        )
+        return _to_dot(self._g, self.canonical_order())
 
 
 def _as_loop(x):
@@ -491,21 +488,43 @@ def closure_invariant(cd: ClosedDiagram, subgroup: Subgroup):
     return gauge_canonical(cd, subgroup), _loop_class(cd._g.free_loops, subgroup)
 
 
+def _torsion_records(n, reduced):
+    """Loop records of the element whose reduced triples are `reduced`, or
+    None when it has infinite order.
+
+    This is the one reader of `elements._torsion_loop_records`: records
+    decide torsion, a `_Nesting` certificate decides infinite order, and
+    when the refinement stops undecided the reduced closure of the same
+    triples decides, its free loops standing in for the records."""
+    records = _torsion_loop_records(n, reduced)
+    if records is None:
+        cd = _closure_of_reduced(n, reduced)
+        return None if cd.has_graph_part() else cd._g.free_loops
+    return records if isinstance(records, list) else None
+
+
+def _torsion_invariant(records, subgroup: Subgroup):
+    """The conjugacy invariant of a torsion element from its loop records:
+    its reduced closure is free loops alone, refinement equivalent to the
+    records, and `gauge_canonical` of a closure with no graph part is ""."""
+    return "", _loop_class(records, subgroup)
+
+
 def conjugacy_invariant(g: TreePairElement):
     """Hashable complete invariant: two elements are conjugate iff their
     invariants are equal.
 
-    A torsion element's reduced closure is free loops alone, refinement
-    equivalent to the loop records `_torsion_loop_records` reads off its
-    reduced triples, so its invariant is ("", `_loop_class` of them) and no
-    closure is built.  Any other element, or one the records leave
-    undecided, takes the closure of the same reduced triples."""
+    A torsion element's invariant comes from its loop records
+    (`_torsion_records`, `_torsion_invariant`), with no closure built for
+    it.  Any other element takes the closure of the same reduced triples.
+    An element the records leave undecided, and that has infinite order,
+    has its closure built twice, once by `_torsion_records`: no element of
+    the bench corpora has been undecided, so the simple shape is kept."""
     n = g.n
     reduced = _reduce_triples(n, g.triples())
-    records = _torsion_loop_records(n, reduced)
-    if isinstance(records, list):
-        # gauge_canonical of a closure with no graph part is "".
-        return "", _loop_class(records, g.subgroup)
+    records = _torsion_records(n, reduced)
+    if records is not None:
+        return _torsion_invariant(records, g.subgroup)
     return closure_invariant(_closure_of_reduced(n, reduced), g.subgroup)
 
 
@@ -517,28 +536,16 @@ def are_conjugate(f: TreePairElement, g: TreePairElement) -> bool:
     return conjugacy_invariant(f) == conjugacy_invariant(g)
 
 
-def _torsion_records(g: TreePairElement):
-    """g's loop records, None when g has infinite order; decided on the
-    reduced triples, or on the reduced closure when they leave it open."""
-    n = g.n
-    reduced = _reduce_triples(n, g.triples())
-    records = _torsion_loop_records(n, reduced)
-    if records is None:
-        cd = _closure_of_reduced(n, reduced)
-        return None if cd.has_graph_part() else cd._g.free_loops
-    return records if isinstance(records, list) else None
-
-
 def is_torsion(g: TreePairElement) -> bool:
     """True iff g has finite order: its reduced triples give loop records
     (equivalently, its reduced closure consists solely of free loops)."""
-    return _torsion_records(g) is not None
+    return _torsion_records(g.n, _reduce_triples(g.n, g.triples())) is not None
 
 
 def torsion_order(g: TreePairElement):
     """Order of g, lcm over its loop records (L, s) of L * ord(s); None when
     g is not torsion."""
-    records = _torsion_records(g)
+    records = _torsion_records(g.n, _reduce_triples(g.n, g.triples()))
     if records is None:
         return None
     out = 1

@@ -10,7 +10,8 @@ ports, which fully determines crossings):
 Every port carries exactly one edge end.  A strand diagram is acyclic with
 p ordered main sources and q ordered main sinks; closed diagrams (module
 `closed`) reuse the same graph core without sources/sinks and with an
-integer winding weight per edge.  A strand is read by `_Graph.strand`: an
+integer winding weight per edge.  A graph says which it is
+(`_Graph.is_closed`), and its serializations read that answer.  A strand is read by `_Graph.strand`: an
 edge, or two edges through one sigma-vertex.  Two strands are joined by
 one splice (`_Graph.splice`): the head end of one edge meets the tail end
 of another and they become one edge, or an identity free-loop record when
@@ -269,6 +270,12 @@ class _Graph:
             if vid not in self.kind:
                 raise DiagramError("edge attached to deleted vertex")
 
+    def is_closed(self):
+        """True iff the graph has no main sources and no main sinks: a closed
+        graph carries winding weights and free-loop records, an open one
+        neither."""
+        return not self.sources and not self.sinks
+
     def is_acyclic(self):
         indeg = {v: 0 for v in self.kind}
         for rec in self.edges.values():
@@ -288,14 +295,15 @@ class _Graph:
 
     # -- canonical serialization ------------------------------------------
 
-    def canon_from(self, seeds, with_weights):
+    def canon_from(self, seeds):
         """BFS canonical string and vertex order from ordered seed vertices."""
         order = []
-        return ";".join(self._canon_tokens(seeds, with_weights, order)), order
+        return ";".join(self._canon_tokens(seeds, order)), order
 
-    def _canon_tokens(self, seeds, with_weights, order):
+    def _canon_tokens(self, seeds, order):
         """Tokens of the BFS canonical string from ordered seed vertices,
-        appending each vertex to `order` as it is numbered."""
+        appending each vertex to `order` as it is numbered; a closed graph's
+        edge tokens carry their weights, normalized to zero on the BFS tree."""
         num, phi = {}, {}
         for s in seeds:
             if s not in num:
@@ -317,11 +325,8 @@ class _Graph:
                     num[peer] = len(num)
                     order.append(peer)
                     phi[peer] = phi[v] + w if d == "o" else phi[v] - w
-                if with_weights:
-                    nw = w + phi[tail] - phi[head]
-                    yield f"{d}{p}>{num[peer]}.{peerport}w{nw}"
-                else:
-                    yield f"{d}{p}>{num[peer]}.{peerport}"
+                tok = f"{d}{p}>{num[peer]}.{peerport}"
+                yield f"{tok}w{w + phi[tail] - phi[head]}" if self.is_closed() else tok
 
     def closed_canonical(self):
         """Canonical (string, vertex order) for a source-free graph: per
@@ -335,7 +340,7 @@ class _Graph:
             for start in sorted(comp):
                 order = []
                 bound = None if best is None else best[0]
-                s = _join_below(self._canon_tokens([start], True, order), bound)
+                s = _join_below(self._canon_tokens([start], order), bound)
                 if s is not None:
                     best = (s, order)
             results.append(best)
@@ -447,7 +452,7 @@ class StrandDiagram:
 
     def canonical(self):
         if self._canon is None:
-            s, order = self._g.canon_from(self._g.sources, with_weights=False)
+            s, order = self._g.canon_from(self._g.sources)
             if len(order) != len(self._g.kind):
                 raise DiagramError("diagram has a component with no main source")
             sink_token = ",".join(str(order.index(v)) for v in self._g.sinks)
@@ -473,7 +478,7 @@ class StrandDiagram:
         )
 
     def to_dot(self):
-        return _to_dot(self._g, self.canonical_order(), with_weights=False)
+        return _to_dot(self._g, self.canonical_order())
 
 
 def diagram_equal(d1, d2) -> bool:
@@ -481,7 +486,9 @@ def diagram_equal(d1, d2) -> bool:
     return d1 == d2
 
 
-def _to_dot(g, order, with_weights, loop_records=()):
+def _to_dot(g, order):
+    """DOT text of g with vertices numbered in `order`; a closed graph's
+    edges show their weights, and its free loops are drawn as nodes."""
     names = {}
     prefix = {SOURCE: "src", SINK: "snk", SPLIT: "s", MERGE: "m", SIGMA: "g"}
     lines = ["digraph strand {"]
@@ -501,10 +508,10 @@ def _to_dot(g, order, with_weights, loop_records=()):
     )
     for tail, tport, head, hport, w in edge_rows:
         attrs = [f'taillabel="{tport}"', f'headlabel="{hport}"']
-        if with_weights:
+        if g.is_closed():
             attrs.append(f'label="w={w}"')
         lines.append(f"  {names[tail]} -> {names[head]} [{', '.join(attrs)}];")
-    for i, (winding, label) in enumerate(sorted(loop_records, key=_loop_token)):
+    for i, (winding, label) in enumerate(sorted(g.free_loops, key=_loop_token)):
         name = f"loop{i}"
         lines.append(
             f'  {name} [shape=ellipse, label="winding={winding}, label={list(label.images)}"];'

@@ -24,7 +24,9 @@ the dict, equality and order compare reduced dicts, and inversion swaps
 each entry.  Torsion is decided on the dict as well
 (`_torsion_loop_records`): it ends with the loop records of an invariant
 prefix code, or with a cone that a power of the element maps strictly
-into itself or onto a larger cone.  Elements are built only for what a
+into itself or onto a larger cone, or undecided at a code-size cap.  Its
+one reader is `closed._torsion_records`, which falls back on the reduced
+closure when it is undecided.  Elements are built only for what a
 caller receives: the enumeration builds one per reduced element it
 yields, unchecked, on the shape trees, permutations and H-instances it
 already holds (`TreePairElement._trusted`); the oracle builds none for
@@ -45,7 +47,6 @@ from .trees import (
     LEAF,
     all_trees,
     leaf_addresses,
-    leaf_count,
     locate,
     random_tree,
     tree_from_addresses,
@@ -63,6 +64,14 @@ class SubgroupMismatch(ValueError):
 
 @dataclass(frozen=True)
 class TreePairElement:
+    """One tree-pair representative of an element of V_n(H).
+
+    `==` and `hash` compare representatives field by field (n, H, both
+    trees, tau and the labels), as `key()` does apart from H: two
+    representatives of one homeomorphism that differ by caret expansions
+    are unequal.  `equal_elements` compares the homeomorphisms, which is
+    equality of the reduced representatives (`reduce_element`)."""
+
     n: int
     subgroup: Subgroup
     domain_tree: tuple
@@ -73,10 +82,8 @@ class TreePairElement:
     def __post_init__(self):
         if self.subgroup.n != self.n:
             raise ValueError(f"subgroup H acts on {self.subgroup.n} letters, not n = {self.n}")
-        validate_tree(self.domain_tree, self.n)
-        validate_tree(self.range_tree, self.n)
-        k = leaf_count(self.domain_tree)
-        if leaf_count(self.range_tree) != k:
+        k = validate_tree(self.domain_tree, self.n)
+        if validate_tree(self.range_tree, self.n) != k:
             raise ValueError("domain and range leaf counts differ")
         if sorted(self.tau) != list(range(1, k + 1)):
             raise ValueError(f"tau is not a bijection on 1..{k}: {self.tau}")
@@ -395,7 +402,8 @@ def _torsion_loop_records(n, triple_by_dom):
       * a `_Nesting` (c, k, x) when g has infinite order: g^k maps cone(c)
         onto cone(x), strictly inside or strictly around it;
       * None, inconclusive: the code outgrew `_CODE_WORDS_PER_LEAF` words
-        per domain leaf.  Callers then decide on the reduced closure.
+        per domain leaf.  Its one caller, `closed._torsion_records`, then
+        decides on the reduced closure.
 
     The code starts as the domain leaves and is refined until it is
     invariant: for a word c whose image d is not a code word, the code word

@@ -336,7 +336,7 @@ def apply_inverse(d, rule, *, sigma_vertex=None, edge=None, edges=None, sigma_ve
         # On a closed graph the new merge-split pair may close a loop of
         # winding <= 0, the counterpart of the cycle that cutting edges of
         # one path makes in an open graph: both are refused as input errors.
-        if not g.sources and not g.sinks and not g.positive_on_loops():
+        if g.is_closed() and not g.positive_on_loops():
             raise DiagramError("the inverse type II move closes a loop of winding <= 0")
     return type(d)(g)
 
@@ -350,12 +350,12 @@ def _order(redexes):
     return sorted(redexes, key=_key)
 
 
-def _rematch(g, vertices, at, closed):
+def _rematch(g, vertices, at):
     """Set `at[v]` ({first anchor: redexes}) to the redexes now at each of
     `vertices`, dropping the vertices with none; closed graphs leave out IV."""
     for v in vertices:
         found = _redexes_at(g, v, [])
-        if closed:
+        if g.is_closed():
             found = [r for r in found if r.rule != "IV"]
         if found:
             at[v] = found
@@ -400,9 +400,8 @@ def _reduce_graph(g, *, rng=None, trace=None):
     """
     if trace is None:
         trace = []
-    closed = not g.sources and not g.sinks
     at = {}
-    _rematch(g, g.kind, at, closed)
+    _rematch(g, g.kind, at)
     g._touched = touched = set()
     try:
         while at:
@@ -413,7 +412,7 @@ def _reduce_graph(g, *, rng=None, trace=None):
             touched.update(
                 [g.edges[g.in_at[(t, 0)]][0] for t in touched if g.kind.get(t) == SIGMA]
             )
-            _rematch(g, touched, at, closed)
+            _rematch(g, touched, at)
             touched.clear()
     finally:
         g._touched = None

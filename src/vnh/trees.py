@@ -17,23 +17,37 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
+from operator import itemgetter
 
 LEAF = ()
 
 
-def validate_tree(tree, n: int) -> None:
-    if tree == LEAF:
-        return
-    if not isinstance(tree, tuple) or len(tree) != n:
-        raise ValueError(f"internal node must have exactly {n} children: {tree!r}")
-    for child in tree:
-        validate_tree(child, n)
+def validate_tree(tree, n: int) -> int:
+    """Check that tree is an n-ary tree, and return its leaf count."""
+    count = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node == LEAF:
+            count += 1
+        elif isinstance(node, tuple) and len(node) == n:
+            stack.extend(reversed(node))
+        else:
+            raise ValueError(f"internal node must have exactly {n} children: {node!r}")
+    return count
 
 
 def leaf_count(tree) -> int:
-    if tree == LEAF:
-        return 1
-    return sum(leaf_count(c) for c in tree)
+    count = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node == LEAF:
+            count += 1
+        else:
+            stack.extend(node)
+    return count
 
 
 def depth(tree) -> int:
@@ -85,20 +99,35 @@ def tree_from_addresses(addresses, n: int):
     addresses = sorted(addresses)
     if not addresses:
         raise ValueError("empty address set")
-
-    def build(addrs):
-        if addrs == [()]:
-            return LEAF
-        groups = [[] for _ in range(n)]
-        for a in addrs:
-            if not a:
+    # A frame (lo, hi, depth) is the subtree whose leaves are
+    # addresses[lo:hi], which share their first `depth` letters; the leaves
+    # below each child are a run of them.  None marks a node whose n
+    # children are the last n subtrees done.
+    done = []
+    stack = [(0, len(addresses), 0)]
+    while stack:
+        frame = stack.pop()
+        if frame is None:
+            done[-n:] = [tuple(done[-n:])]
+            continue
+        lo, hi, depth = frame
+        if len(addresses[lo]) == depth:
+            if hi - lo > 1:
                 raise ValueError("address set not independent (prefix clash)")
-            groups[a[0] - 1].append(a[1:])
-        if any(not g for g in groups):
+            done.append(LEAF)
+            continue
+        runs = []
+        letter = itemgetter(depth)
+        for c in range(1, n + 1):
+            if lo == hi or addresses[lo][depth] != c:
+                raise ValueError("address set not complete")
+            start, lo = lo, bisect_right(addresses, c, lo, hi, key=letter)
+            runs.append((start, lo, depth + 1))
+        if lo < hi:
             raise ValueError("address set not complete")
-        return tuple(build(g) for g in groups)
-
-    return build(addresses)
+        stack.append(None)
+        stack.extend(reversed(runs))
+    return done[0]
 
 
 def common_expansion(t1, t2, n: int):
@@ -189,37 +218,40 @@ def random_tree(n: int, leaves: int, rng: random.Random):
 def parse_tree(text: str, n: int):
     """Parse the nested-parentheses text form."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse_node():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "*":
-            return LEAF
+    stack = []  # the children read so far of each open node, innermost last
+    for pos, tok in enumerate(tokens):
         if tok == "(":
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse_node())
-            if pos >= len(tokens):
-                raise ValueError("unbalanced '(' in tree text")
-            pos += 1  # consume ')'
+            stack.append([])
+            continue
+        if tok == "*":
+            node = LEAF
+        elif tok == ")" and stack:
+            children = stack.pop()
             if len(children) != n:
-                raise ValueError(
-                    f"internal node has {len(children)} children, expected {n}"
-                )
-            return tuple(children)
-        raise ValueError(f"unexpected token {tok!r} in tree text")
-
-    tree = parse_node()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in tree text: {tokens[pos:]}")
-    return tree
+                raise ValueError(f"internal node has {len(children)} children, expected {n}")
+            node = tuple(children)
+        else:
+            raise ValueError(f"unexpected token {tok!r} in tree text")
+        if not stack:
+            if pos + 1 != len(tokens):
+                raise ValueError(f"trailing tokens in tree text: {tokens[pos + 1:]}")
+            return node
+        stack[-1].append(node)
+    raise ValueError("unbalanced '(' in tree text" if stack else "unexpected end of tree text")
 
 
 def format_tree(tree) -> str:
-    if tree == LEAF:
-        return "*"
-    return "(" + " ".join(format_tree(c) for c in tree) + ")"
+    """The text form of tree."""
+    tokens = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node == LEAF:
+            tokens.append("*")
+        elif node == ")":
+            tokens.append(")")
+        else:
+            tokens.append("(")
+            stack.append(")")
+            stack.extend(reversed(node))
+    return " ".join(tokens).replace("( ", "(").replace(" )", ")")

@@ -21,6 +21,7 @@ from vnh.census import (
 )
 from vnh.closed import (
     _loop_class,
+    _torsion_records,
     are_conjugate,
     closure_invariant,
     conjugacy_invariant,
@@ -592,9 +593,9 @@ def test_census_matches_element_level_reference(monkeypatch, n, h, p, max_leaves
 
     def recording_records(n, triple_by_dom):
         closed.append(_triples_key(n, h, triple_by_dom))
-        return _torsion_loop_records(n, triple_by_dom)
+        return _torsion_records(n, triple_by_dom)
 
-    monkeypatch.setattr(vnh.census, "_torsion_loop_records", recording_records)
+    monkeypatch.setattr(vnh.census, "_torsion_records", recording_records)
     for leaves in range(1, max_leaves + 1, n - 1):
         lines, hits = _reference_census(n, h, p, leaves)
         got = []
@@ -617,9 +618,9 @@ def test_census_closes_torsion_with_unequal_depth_sums(monkeypatch):
 
     def recording_records(n, triple_by_dom):
         closed.append(_triples_key(n, h, triple_by_dom))
-        return _torsion_loop_records(n, triple_by_dom)
+        return _torsion_records(n, triple_by_dom)
 
-    monkeypatch.setattr(vnh.census, "_torsion_loop_records", recording_records)
+    monkeypatch.setattr(vnh.census, "_torsion_records", recording_records)
     assert class_census_experiment(2, h, 3, 5) == 2
     assert g.key() in closed
 
@@ -690,13 +691,15 @@ def test_loop_records_match_the_reduced_closure_on_torsion_conjugates(name, rng)
     [
         [(3, Perm.identity(2)), (1, Perm((2, 1)))],
         [(1, Perm.identity(2)), (2, Perm.identity(2))],
+        None,
     ],
-    ids=["non-identity label", "winding 2"],
+    ids=["non-identity label", "winding 2", "infinite order"],
 )
 def test_census_rejects_loop_records_not_of_order_p(monkeypatch, records):
-    # p = 3 does not divide ord(Z2): every record of an order-3 element is
-    # (1, id) or (3, id), and the census checks that on each one.
-    monkeypatch.setattr(vnh.census, "_torsion_loop_records", lambda n, triple_by_dom: records)
+    # p = 3 does not divide ord(Z2): an order-3 element is torsion, every
+    # record of it is (1, id) or (3, id), and the census checks that on each
+    # one.
+    monkeypatch.setattr(vnh.census, "_torsion_records", lambda n, triple_by_dom: records)
     with pytest.raises(AssertionError, match="loop record"):
         class_census_experiment(2, Subgroup.symmetric(2), 3, 3)
 

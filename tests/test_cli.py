@@ -264,6 +264,46 @@ def test_mistyped_json_fields_exit_2_without_traceback(args, element):
     assert "Traceback" not in proc.stderr
 
 
+def _comb(depth, right):
+    """Text form of the V2 comb of the given depth, growing to the right or
+    to the left."""
+    text = "*"
+    for _ in range(depth):
+        text = f"(* {text})" if right else f"({text} *)"
+    return text
+
+
+def test_deep_trees_parse_and_invert_round_trip():
+    # Trees are read, checked, rebuilt and printed without recursion: a
+    # 2,001-leaf comb is far deeper than the interpreter's recursion limit.
+    k = 2001
+    element = {
+        "n": 2,
+        "H": [],
+        "domain": _comb(k - 1, True),
+        "range": _comb(k - 1, False),
+        "tau": list(range(k, 0, -1)),
+        "labels": [[1, 2]] * k,
+    }
+
+    def run(command, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vnh.cli", command, "-"],
+            input=text,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stderr == ""
+        return proc.stdout
+
+    parsed = run("parse", json.dumps(element))
+    assert json.loads(parsed) == element
+    inverse = run("invert", parsed)
+    assert json.loads(inverse)["domain"] == element["range"]
+    assert run("invert", inverse) == parsed
+
+
 _CLOSE_DATA = pathlib.Path(__file__).parent / "data" / "close"
 
 

@@ -790,7 +790,7 @@ def _reference_closed_canonical(g):
     for comp in g.components():
         best = None
         for start in sorted(comp):
-            s, order = g.canon_from([start], with_weights=True)
+            s, order = g.canon_from([start])
             if best is None or s < best[0]:
                 best = (s, order)
         results.append(best)

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnh
+import vnh.closed
 import vnh.elements
+from vnh.census import class_census_experiment
 from vnh.closed import (
     are_conjugate,
     closure_invariant,
@@ -208,3 +210,66 @@ def test_torsion_records_are_read_off_an_invariant_code():
     g = _v2({"1": "2", "21": "12", "22": "11"})
     assert _torsion_loop_records(2, g.triples()) == [(4, Perm.identity(2))]
     assert torsion_order(g) == 4 == element_order(g, 4)
+
+
+def _leave_undecided(monkeypatch):
+    """With one code word per domain leaf, the refinement stops undecided as
+    soon as it splits a word, and `closed._torsion_records` falls back on
+    the reduced closure.  Returns the list that collects, in call order,
+    the triples the records leave undecided."""
+    seen = []
+
+    def recording(n, triple_by_dom):
+        out = _torsion_loop_records(n, triple_by_dom)
+        if out is None:
+            seen.append(dict(triple_by_dom))
+        return out
+
+    monkeypatch.setattr(vnh.elements, "_CODE_WORDS_PER_LEAF", 1)
+    monkeypatch.setattr(vnh.closed, "_torsion_loop_records", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n,h,p,max_leaves,undecided",
+    [
+        (2, Subgroup.trivial(2), 3, 5, 108),
+        (2, Subgroup.symmetric(2), 3, 4, 0),
+        (4, Subgroup.trivial(4), 2, 7, 0),
+        (3, Subgroup.trivial(3), 5, 5, 0),
+    ],
+    ids=["V2(Id)-p3", "V2(Z2)-p3", "V4(Id)-p2", "V3(Id)-p5"],
+)
+def test_census_is_unchanged_when_the_records_leave_torsion_undecided(
+    monkeypatch, n, h, p, max_leaves, undecided
+):
+    # 108 of the 392 reduced order-3 elements of V2(Id) to 5 leaves need a
+    # split; the report lines stay the same.
+    expected = []
+    class_census_experiment(n, h, p, max_leaves, expected)
+    seen = _leave_undecided(monkeypatch)
+    got = []
+    class_census_experiment(n, h, p, max_leaves, got)
+    assert got == expected
+    assert len(seen) == undecided
+
+
+def test_undecided_records_fall_back_on_the_closure(monkeypatch):
+    # Random elements and torsion conjugates: `is_torsion`, `torsion_order`
+    # and `conjugacy_invariant` give the closure's answers, and both torsion
+    # and infinite-order elements are among those left undecided.
+    seen = _leave_undecided(monkeypatch)
+    rng = random.Random("undecided")
+    kinds = {}
+    for name in ("V2(Id)", "V2(Z2)", "V3(S3)", "V4(S4)"):
+        n, h = GROUPS[name]
+        for _ in range(60):
+            for g in (random_element(n, h, rng, max_carets=4), _torsion_conjugate(n, h, rng)):
+                before = len(seen)
+                torsion, order, invariant = _closure_reference(g)
+                assert is_torsion(g) == torsion
+                assert torsion_order(g) == order
+                assert conjugacy_invariant(g) == invariant
+                if len(seen) > before:
+                    kinds[torsion] = kinds.get(torsion, 0) + 1
+    assert kinds[True] and kinds[False], kinds
