@@ -142,9 +142,6 @@ class ClosedDiagram:
     def has_graph_part(self):
         return bool(self._g.kind)
 
-    def sigma_vertex_count(self):
-        return self.counts()[SIGMA]
-
     def canonical(self):
         if self._canon is None:
             s, order = self._g.closed_canonical()

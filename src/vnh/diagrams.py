@@ -304,6 +304,7 @@ class _Graph:
         """Tokens of the BFS canonical string from ordered seed vertices,
         appending each vertex to `order` as it is numbered; a closed graph's
         edge tokens carry their weights, normalized to zero on the BFS tree."""
+        closed = self.is_closed()
         num, phi = {}, {}
         for s in seeds:
             if s not in num:
@@ -326,7 +327,7 @@ class _Graph:
                     order.append(peer)
                     phi[peer] = phi[v] + w if d == "o" else phi[v] - w
                 tok = f"{d}{p}>{num[peer]}.{peerport}"
-                yield f"{tok}w{w + phi[tail] - phi[head]}" if self.is_closed() else tok
+                yield f"{tok}w{w + phi[tail] - phi[head]}" if closed else tok
 
     def closed_canonical(self):
         """Canonical (string, vertex order) for a source-free graph: per
@@ -583,34 +584,36 @@ def cut_diagram(d: StrandDiagram):
         raise NotReducedError("diagram is not reduced")
     n = g.n
 
-    dom_cuts = []
+    def walk(table, end, kind, root):
+        """The tree of `kind` vertices hanging from the port (root, 0), and
+        the ports at its leaves in leaf order.  `table` maps a port to its
+        edge, whose `end` (0 tail, 2 head) is the next vertex; a None on the
+        stack closes the node whose n children are the last n subtrees done."""
+        done, cuts = [], []
+        stack = [(root, 0)]
+        while stack:
+            port = stack.pop()
+            if port is None:
+                done[-n:] = [tuple(done[-n:])]
+                continue
+            v = g.edges[table[port]][end]
+            if g.kind[v] == kind:
+                stack.append(None)
+                stack.extend((v, c) for c in range(n, 0, -1))
+            else:
+                cuts.append(port)
+                done.append(LEAF)
+        return done[0], cuts
 
-    def walk_down(port):
-        eid = g.out_at[port]
-        head = g.edges[eid][2]
-        if g.kind[head] == SPLIT:
-            return tuple(walk_down((head, c)) for c in range(1, n + 1))
-        dom_cuts.append(eid)
-        return LEAF
-
-    ran_cuts = []
-
-    def walk_up(port):
-        tail = g.edges[g.in_at[port]][0]
-        if g.kind[tail] == MERGE:
-            return tuple(walk_up((tail, c)) for c in range(1, n + 1))
-        ran_cuts.append(port)
-        return LEAF
-
-    domain_tree = walk_down((g.sources[0], 0))
-    range_tree = walk_up((g.sinks[0], 0))
+    domain_tree, dom_cuts = walk(g.out_at, 2, SPLIT, g.sources[0])
+    range_tree, ran_cuts = walk(g.in_at, 0, MERGE, g.sinks[0])
     ran_index = {port: j for j, port in enumerate(ran_cuts, start=1)}
 
     tau = []
     labels = [None] * len(dom_cuts)
     one = Perm.identity(n)
-    for eid in dom_cuts:
-        end, port, _, sv = g.strand(eid)
+    for cut in dom_cuts:
+        end, port, _, sv = g.strand(g.out_at[cut])
         j = ran_index.get((end, port))
         if j is None:
             raise NotReducedError("strand does not run split-sigma-merge")

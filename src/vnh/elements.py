@@ -47,7 +47,6 @@ from .trees import (
     LEAF,
     all_trees,
     leaf_addresses,
-    locate,
     random_tree,
     tree_from_addresses,
     validate_tree,
@@ -191,12 +190,17 @@ def eval_prefix(g: TreePairElement, word):
     """Image of the branch B_word under g.
 
     Returns (image word, residual tail permutation); word must reach at
-    least one domain leaf.
+    least one domain leaf.  The domain leaf above the branch is the
+    shortest prefix of word among the keys of the triples.
     """
-    i, suffix = locate(g.domain_addresses(), tuple(word))
-    j = g.tau[i - 1]
-    lab = g.labels[j - 1]
-    return g.range_addresses()[j - 1] + lab.act_word(suffix), lab
+    word = tuple(word)
+    triple_by_dom = g.triples()
+    for cut in range(len(word) + 1):
+        hit = triple_by_dom.get(word[:cut])
+        if hit is not None:
+            b, lab = hit
+            return b + lab.act_word(word[cut:]), lab
+    raise ValueError(f"word {word} too shallow: no leaf address is a prefix")
 
 
 def _compose_triples(g_triples, f_triples):
@@ -312,10 +316,6 @@ def _is_identity(triple_by_dom) -> bool:
 def reduce_element(g: TreePairElement) -> TreePairElement:
     """Unique fully collapsed representative of the same homeomorphism."""
     return element_from_triples(g.n, g.subgroup, _reduce_triples(g.n, g.triples()))
-
-
-def is_reduced(g: TreePairElement) -> bool:
-    return not _collapse_once(g.n, g.triples())
 
 
 def equal_elements(f: TreePairElement, g: TreePairElement) -> bool:

@@ -10,8 +10,6 @@ full element set closed under composition and inverse.
 
 from __future__ import annotations
 
-import itertools
-
 
 class Perm:
     """Element of Sym(n) in one-line notation; 1-indexed."""
@@ -231,8 +229,3 @@ class Subgroup:
     def __repr__(self):
         gens = [list(g.images) for g in self.generators]
         return f"Subgroup(n={self.n}, generators={gens}, order={self.order})"
-
-
-def all_perms(k: int):
-    """All of Sym(k) in lexicographic order."""
-    return [Perm(images) for images in itertools.permutations(range(1, k + 1))]

@@ -11,6 +11,13 @@ addresses).
 
 Text form: ``*`` is a leaf, ``( ... )`` wraps the n children of an internal
 node, whitespace-insensitive.  ``(* * (* * *))`` is a 5-leaf ternary tree.
+
+Trees are rebuilt from their address sets: the minimal common expansion of
+two trees is the tree on the union of their leaf addresses less the proper
+prefixes (`tree_from_addresses`).  Checking, reading, printing, expanding
+and rebuilding a tree walk it with a loop or an explicit stack, so trees of
+any depth work at the default recursion limit; only the generators
+`all_trees` and `random_tree`, which build small trees, recurse.
 """
 
 from __future__ import annotations
@@ -38,24 +45,6 @@ def validate_tree(tree, n: int) -> int:
     return count
 
 
-def leaf_count(tree) -> int:
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node == LEAF:
-            count += 1
-        else:
-            stack.extend(node)
-    return count
-
-
-def depth(tree) -> int:
-    if tree == LEAF:
-        return 0
-    return 1 + max(depth(c) for c in tree)
-
-
 def leaf_addresses(tree):
     """Leaf address words in increasing lexicographic order."""
     if tree == LEAF:
@@ -72,23 +61,19 @@ def leaf_addresses(tree):
     return out
 
 
-def replace_at(tree, address, subtree):
-    if not address:
-        return subtree
-    c = address[0]
-    return tuple(
-        replace_at(child, address[1:], subtree) if i == c else child
-        for i, child in enumerate(tree, start=1)
-    )
-
-
 def expand_leaf(tree, leaf_index: int, n: int):
     """Replace the leaf_index-th leaf (1-based) with a caret of n leaves."""
     addrs = leaf_addresses(tree)
     if not 1 <= leaf_index <= len(addrs):
         raise IndexError(f"leaf index {leaf_index} out of range 1..{len(addrs)}")
-    caret = tuple(LEAF for _ in range(n))
-    return replace_at(tree, addrs[leaf_index - 1], caret)
+    path = []  # (node, child index) on the way down to the leaf
+    for c in addrs[leaf_index - 1]:
+        path.append((tree, c))
+        tree = tree[c - 1]
+    tree = (LEAF,) * n
+    for node, c in reversed(path):
+        tree = node[: c - 1] + (tree,) + node[c:]
+    return tree
 
 
 def tree_from_addresses(addresses, n: int):
@@ -135,47 +120,21 @@ def common_expansion(t1, t2, n: int):
 
     Returns ``(tree, map1, map2)`` where ``map1[j-1]`` is the (1-based) leaf
     of t1 whose address is a prefix of result leaf j, and likewise ``map2``.
+    The result's leaves are the leaf addresses of either tree that are no
+    proper prefix of another; in sorted order, such a word would be a prefix
+    of the next.
     """
+    addrs1, addrs2 = leaf_addresses(t1), leaf_addresses(t2)
+    words = sorted(set(addrs1).union(addrs2))
+    leaves = [w for w, nxt in zip(words, words[1:] + [None]) if nxt is None or nxt[: len(w)] != w]
 
-    def merge(a, b):
-        if a == LEAF:
-            return b
-        if b == LEAF:
-            return a
-        return tuple(merge(ca, cb) for ca, cb in zip(a, b))
+    def prefix_map(addrs):
+        # Each result leaf lies below the input leaf that is its shortest
+        # prefix among the input addresses.
+        index = {a: i for i, a in enumerate(addrs, start=1)}
+        return [next(index[w[:c]] for c in range(len(w) + 1) if w[:c] in index) for w in leaves]
 
-    tree = merge(t1, t2)
-
-    def prefix_map(base):
-        base_addrs = leaf_addresses(base)
-        index = {a: i for i, a in enumerate(base_addrs, start=1)}
-        out = []
-        for addr in leaf_addresses(tree):
-            for cut in range(len(addr) + 1):
-                i = index.get(addr[:cut])
-                if i is not None:
-                    out.append(i)
-                    break
-            else:
-                raise AssertionError("result does not refine input tree")
-        return out
-
-    return tree, prefix_map(t1), prefix_map(t2)
-
-
-def locate(addresses, word):
-    """Return ``(leaf_index, suffix)`` for the unique leaf address that is a
-    prefix of ``word``; addresses must be sorted leaf addresses.
-
-    Raises ValueError when the word is too shallow (a strict prefix of every
-    candidate address on its path).
-    """
-    index = {a: i for i, a in enumerate(addresses, start=1)}
-    for cut in range(len(word) + 1):
-        i = index.get(word[:cut])
-        if i is not None:
-            return i, word[cut:]
-    raise ValueError(f"word {word} too shallow: no leaf address is a prefix")
+    return tree_from_addresses(leaves, n), prefix_map(addrs1), prefix_map(addrs2)
 
 
 def all_trees(n: int, leaves: int):

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -31,7 +33,7 @@ from vnh.elements import (
 )
 from vnh.perms import Perm, Subgroup
 from vnh.rewriting import reduce
-from vnh.trees import LEAF, parse_tree
+from vnh.trees import LEAF, common_expansion, expand_leaf, leaf_addresses, parse_tree
 
 
 def five_leaf_ternary_element():
@@ -80,6 +82,36 @@ def test_cut_requires_reduced():
 def test_cut_requires_1_1():
     with pytest.raises(DiagramError):
         cut_diagram(identity_diagram(2, 2))
+
+
+def test_deep_combs_expand_and_cut_without_recursion():
+    # The 401-leaf right and left V2 combs are 400 levels deep; with the
+    # recursion limit 100 frames above this test, building them, their
+    # common expansion and the cut of the reduced diagram of the element
+    # between them must not recurse per level.  Nested trees are compared
+    # through their leaf addresses and triples: `==` on nested tuples
+    # recurses as well.
+    h = Subgroup.trivial(2)
+    one = Perm.identity(2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        right = left = LEAF
+        for k in range(1, 401):
+            right = expand_leaf(right, k, 2)
+            left = expand_leaf(left, 1, 2)
+        e, m_right, m_left = common_expansion(right, left, 2)
+        g = TreePairElement(2, h, right, left, tuple(range(1, 402)), (one,) * 401)
+        back = cut_to_element(reduce(build_diagram(g)), h)
+    finally:
+        sys.setrecursionlimit(limit)
+    r, l = leaf_addresses(right), leaf_addresses(left)
+    assert r[0] == (1,) and r[-1] == (2,) * 400 and l[0] == (1,) * 400 and l[-1] == (2,)
+    # Left's leaves below (1,), then right's below (2,).
+    assert leaf_addresses(e) == l[:-1] + r[1:]
+    assert m_right == [1] * 400 + list(range(2, 402))
+    assert m_left == list(range(1, 401)) + [401] * 400
+    assert back.triples() == g.triples()
 
 
 def test_diagram_equal_on_rebuilds(rng, group):

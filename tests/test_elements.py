@@ -20,19 +20,17 @@ from vnh.elements import (
     expand_representative,
     identity_element,
     invert,
-    is_reduced,
     random_element,
     reduce_element,
     reduced_elements,
 )
-from vnh.perms import Perm, Subgroup, all_perms
+from vnh.perms import Perm, Subgroup
 from vnh.trees import (
     LEAF,
     all_trees,
     common_expansion,
     expand_leaf,
     leaf_addresses,
-    locate,
     parse_tree,
     random_tree,
 )
@@ -81,6 +79,20 @@ def test_eval_prefix_too_shallow():
     g = caret_swap_v2()
     with pytest.raises(ValueError):
         eval_prefix(g, ())
+
+
+def test_eval_prefix_finds_the_domain_leaf_above_a_word():
+    # Domain leaves (1,), (2,1), (2,2) go to range leaves (2,2), (1,),
+    # (2,1), and range leaf (2,2) carries the swap s: a word below a leaf
+    # keeps its suffix, moved by the label, a leaf maps onto its image, and
+    # a word above the leaves (2,1) and (2,2) reaches no leaf.
+    one, s = Perm.identity(2), Perm((2, 1))
+    t = parse_tree("(* (* *))", 2)
+    g = TreePairElement(2, Subgroup.symmetric(2), t, t, (3, 1, 2), (one, one, s))
+    assert eval_prefix(g, (1, 2, 2)) == ((2, 2, 1, 1), s)
+    assert eval_prefix(g, (2, 1)) == ((1,), one)
+    with pytest.raises(ValueError, match="too shallow"):
+        eval_prefix(g, (2,))
 
 
 def test_eval_bijective_on_deep_words(rng, group):
@@ -183,10 +195,10 @@ def test_reduce_respects_label_pattern():
     assert r.domain_tree == LEAF and r.labels == (s,)
     # tau = swap with identity labels: reduced already (pattern != labels).
     g2 = TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), (2, 1), (one, one))
-    assert is_reduced(g2)
+    assert not _collapse_once(2, g2.triples())
     # In V2(Id) the same pattern cannot collapse either (s not in H).
     g3 = caret_swap_v2()
-    assert is_reduced(g3)
+    assert not _collapse_once(2, g3.triples())
 
 
 def test_equal_elements_examples(rng, group):
@@ -265,10 +277,19 @@ def test_arity_mismatch_raises():
         compose(f, g)
 
 
+def _leaf_above(addrs, w):
+    """(i, rest): the 1-based index of the address in addrs that is a
+    prefix of w, and the rest of w after it."""
+    for i, a in enumerate(addrs, start=1):
+        if w[: len(a)] == a:
+            return i, w[len(a):]
+    raise AssertionError(f"no address is a prefix of {w}")
+
+
 def _reference_compose(g, f):
-    """g o f through the minimal common expansion tree and a `locate` of
-    each of its leaves in both address lists, independently of the merge in
-    `compose`.  A test oracle for `compose`."""
+    """g o f through the minimal common expansion tree and a scan for the
+    leaf above each of its leaves in both address lists, independently of
+    the merge in `compose`.  A test oracle for `compose`."""
     mid, _, _ = common_expansion(f.range_tree, g.domain_tree, f.n)
     f_ran = f.range_addresses()
     f_dom = f.domain_addresses()
@@ -277,10 +298,10 @@ def _reference_compose(g, f):
     f_tau_inv = {j: i for i, j in enumerate(f.tau, start=1)}
     triples = {}
     for w in leaf_addresses(mid):
-        j, x = locate(f_ran, w)
+        j, x = _leaf_above(f_ran, w)
         lab_f = f.labels[j - 1]
         a = f_dom[f_tau_inv[j] - 1] + lab_f.inverse().act_word(x)
-        m, y = locate(g_dom, w)
+        m, y = _leaf_above(g_dom, w)
         q = g.tau[m - 1]
         lab_g = g.labels[q - 1]
         b = g_ran[q - 1] + lab_g.act_word(y)
@@ -382,10 +403,10 @@ def _reference_reduced_keys(n, h, max_leaves):
         shapes = list(all_trees(n, k))
         for dom in shapes:
             for ran in shapes:
-                for tau in all_perms(k):
+                for tau in itertools.permutations(range(1, k + 1)):
                     for labels in itertools.product(elems, repeat=k):
-                        g = TreePairElement(n, h, dom, ran, tau.images, labels)
-                        if is_reduced(g):
+                        g = TreePairElement(n, h, dom, ran, tau, labels)
+                        if not _collapse_once(n, g.triples()):
                             keys.append(g.key())
     return keys
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from vnh.perms import Perm, Subgroup, all_perms
+from vnh.perms import Perm, Subgroup
 
 
 def test_one_line_validation():
@@ -64,8 +64,3 @@ def test_subgroup_conjugacy_classes():
     c = Subgroup.cyclic(3)
     assert not c.are_conjugate(cyc, cyc * cyc)
     assert c.class_rep(cyc) == cyc
-
-
-def test_all_perms():
-    assert len(all_perms(4)) == 24
-    assert all_perms(1) == [Perm((1,))]

@@ -309,7 +309,7 @@ def test_inverse_type_I_on_free_loop_gives_split_merge_loop():
     assert any(r.rule == "II-identity" for r in find_redexes(expanded))
     # Reducing collapses the split/merge pair again.
     back = reduce_closed(expanded)
-    assert not back.has_graph_part() or back.sigma_vertex_count() <= 1
+    assert not back.has_graph_part() or back.counts()[SIGMA] <= 1
 
 
 # -- the four local-confluence overlap cases ---------------------------------
