@@ -11,17 +11,20 @@ same way, and reduces that fresh graph in place by the body of
 `reduce_closed`, which works on a copy.
 
 The conjugacy decision builds a closure only for elements of infinite
-order.  Torsion is decided on the reduced triples by one reader,
-`_torsion_records`, which `conjugacy_invariant`, `is_torsion`,
-`torsion_order` and the census all call: a torsion element permutes the
-words of a finite invariant prefix code (`elements._torsion_loop_records`),
-and its reduced closure is free loops alone, refinement equivalent to one
-record (cycle length, composite label) per cycle, so its invariant comes
-from those records (`_torsion_invariant`).  Infinite order is certified by
-a cone that a power of the element maps strictly into itself or onto a
-larger cone; only then, or when the refinement reaches its code-size cap
-and `_torsion_records` falls back on it, is the closure of the same
-reduced triples built.
+order, and `are_conjugate` compares torsion status first: a torsion
+element's invariant starts with "", which no other element's does, so a
+pair with exactly one torsion element is not conjugate, and no closure is
+built for it.  Torsion is decided on the reduced triples by one reader,
+`_torsion_records`, which the census and `_reduced_and_records` (for
+`are_conjugate`, `conjugacy_invariant`, `is_torsion` and `torsion_order`)
+call: a torsion element permutes the words of a finite invariant prefix
+code (`elements._torsion_loop_records`), and its reduced closure is free
+loops alone, refinement equivalent to one record (cycle length, composite
+label) per cycle, so its invariant comes from those records
+(`_torsion_invariant`).  Infinite order is certified by a cone that a power
+of the element maps strictly into itself or onto a larger cone; only then,
+or when the refinement reaches its code-size cap and `_torsion_records`
+falls back on it, is the closure of the same reduced triples built.
 
 Equality of closed diagrams (`==`, `closed_equal`) is equality of the
 underlying port graph together with that cohomology class, decided by
@@ -292,12 +295,12 @@ def _skeleton(g):
     return verts, out_at, in_at
 
 
-def _gauge_tokens(n, verts, out_at, in_at, start, root):
+def _gauge_tokens(scans, verts, out_at, in_at, start, root):
     """Tokens of the gauge-fixed BFS serialization of start's component,
     the root twisted by `root` = (images, inverse images): each vertex
     reached gets the gauge that makes its BFS tree edge's label the
-    identity, and edge weights are normalized to zero on the BFS tree."""
-    scans = {kind: _scan_ports(kind, n) for kind in (SPLIT, MERGE)}
+    identity, and edge weights are normalized to zero on the BFS tree.
+    `scans` maps SPLIT and MERGE to their port order (`_scan_ports`)."""
     gauge = {start: root}
     phi = {start: 0}
     num = {start: 0}
@@ -356,6 +359,7 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     if not verts:
         return ""
     roots = [(h.images, h.inverse().images) for h in sorted(subgroup.elements)]
+    scans = {kind: _scan_ports(kind, g.n) for kind in (SPLIT, MERGE)}
     comp_strs = []
     for comp in g.components():
         # A component holds its splits and merges, joined by sigma chains;
@@ -366,7 +370,7 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
         best = None
         for start in starts:
             for root in roots:
-                s = _join_below(_gauge_tokens(g.n, verts, out_at, in_at, start, root), best)
+                s = _join_below(_gauge_tokens(scans, verts, out_at, in_at, start, root), best)
                 if s is not None:
                     best = s
         comp_strs.append(best)
@@ -380,18 +384,19 @@ def _loop_class(records, subgroup: Subgroup):
     """Complete invariant of free-loop records under relabelling within an
     H-class and refinement through orbits: (support closure S in column
     order, the record vector reduced modulo the lattice of refinement
-    increments over S).  Memoised on the subgroup."""
+    increments over S).  Memoised on the subgroup, keyed on the sorted
+    (winding, class representative's image tuple) pairs, so that the key
+    is built and looked up on plain tuples; a label outside H raises
+    ValueError (`Subgroup.class_rep`)."""
     rep = subgroup.class_rep
-    for _, label in records:
-        if label not in subgroup:
-            raise ValueError(f"free-loop label {label!r} outside H")
-    start = tuple(sorted((w, rep(label)) for w, label in records))
-    cached = subgroup._loop_classes.get(start)
+    key = tuple(sorted([(w, rep(label).images) for w, label in records]))
+    cached = subgroup._loop_classes.get(key)
     if cached is not None:
         return cached
     refine = subgroup.refinement
     counts = {}
-    for w, s in start:
+    for w, label in records:
+        s = rep(label)
         row = refine(s)
         # A fixed-point-free loop is replaced by its refinement.
         for v in [(w, s)] if row[0][0] == 1 else [(w * L, c) for L, c in row]:
@@ -418,7 +423,7 @@ def _loop_class(records, subgroup: Subgroup):
         q = vec[j] // pivot[j]
         if q:
             vec = [x - q * y for x, y in zip(vec, pivot)]
-    result = subgroup._loop_classes[start] = (tuple(cols), tuple(vec))
+    result = subgroup._loop_classes[key] = (tuple(cols), tuple(vec))
     return result
 
 
@@ -507,42 +512,60 @@ def _torsion_invariant(records, subgroup: Subgroup):
     return "", _loop_class(records, subgroup)
 
 
+def _reduced_and_records(g: TreePairElement):
+    """g's reduced triples and `_torsion_records` of them: the records of a
+    torsion element, None for one of infinite order."""
+    reduced = _reduce_triples(g.n, g.triples())
+    return reduced, _torsion_records(g.n, reduced)
+
+
 def conjugacy_invariant(g: TreePairElement):
     """Hashable complete invariant: two elements are conjugate iff their
     invariants are equal.
 
-    A torsion element's invariant comes from its loop records
-    (`_torsion_records`, `_torsion_invariant`), with no closure built for
-    it.  Any other element takes the closure of the same reduced triples.
-    An element the records leave undecided, and that has infinite order,
-    has its closure built twice, once by `_torsion_records`: no element of
-    the bench corpora has been undecided, so the simple shape is kept."""
-    n = g.n
-    reduced = _reduce_triples(n, g.triples())
-    records = _torsion_records(n, reduced)
+    Torsion status is read first (`_torsion_records`): a torsion element's
+    invariant comes from its loop records (`_torsion_invariant`), with no
+    closure built for it, and its first part is "", which no element of
+    infinite order has.  Any other element takes the closure of the same
+    reduced triples.  An element the records leave undecided, and that has
+    infinite order, has its closure built twice, once by
+    `_torsion_records`: no element of the bench corpora has been
+    undecided, so the simple shape is kept."""
+    reduced, records = _reduced_and_records(g)
     if records is not None:
         return _torsion_invariant(records, g.subgroup)
-    return closure_invariant(_closure_of_reduced(n, reduced), g.subgroup)
+    return closure_invariant(_closure_of_reduced(g.n, reduced), g.subgroup)
 
 
 def are_conjugate(f: TreePairElement, g: TreePairElement) -> bool:
-    """Conjugacy in V_n(H): compare the complete invariants of f and g, read
-    off the loop records of a torsion element's reduced triples, and
-    otherwise off the reduced closed diagram built from them."""
+    """Conjugacy in V_n(H), the verdict `conjugacy_invariant(f) ==
+    conjugacy_invariant(g)` decided in stages.  Torsion status is compared
+    first: when exactly one of f, g is torsion they are not conjugate, and
+    no closure is built.  Two torsion elements compare the invariants of
+    their loop records; only two elements of infinite order build their
+    reduced closures and compare `closure_invariant`."""
     _check_compatible(f, g)
-    return conjugacy_invariant(f) == conjugacy_invariant(g)
+    f_reduced, f_records = _reduced_and_records(f)
+    g_reduced, g_records = _reduced_and_records(g)
+    if (f_records is None) != (g_records is None):
+        return False
+    n, h = f.n, f.subgroup
+    if f_records is not None:
+        return _torsion_invariant(f_records, h) == _torsion_invariant(g_records, h)
+    f_closure, g_closure = _closure_of_reduced(n, f_reduced), _closure_of_reduced(n, g_reduced)
+    return closure_invariant(f_closure, h) == closure_invariant(g_closure, h)
 
 
 def is_torsion(g: TreePairElement) -> bool:
     """True iff g has finite order: its reduced triples give loop records
     (equivalently, its reduced closure consists solely of free loops)."""
-    return _torsion_records(g.n, _reduce_triples(g.n, g.triples())) is not None
+    return _reduced_and_records(g)[1] is not None
 
 
 def torsion_order(g: TreePairElement):
     """Order of g, lcm over its loop records (L, s) of L * ord(s); None when
     g is not torsion."""
-    records = _torsion_records(g.n, _reduce_triples(g.n, g.triples()))
+    records = _reduced_and_records(g)[1]
     if records is None:
         return None
     out = 1

@@ -527,8 +527,19 @@ def _to_dot(g, order):
 
 def _internal_nodes(addrs):
     """Sorted proper prefixes of a complete prefix code: the internal nodes
-    of its tree, in preorder."""
-    return sorted({a[:i] for a in addrs for i in range(len(a))})
+    of its tree, in preorder.
+
+    Each address is walked up from its longest proper prefix and stops at
+    the first prefix already seen, whose own prefixes were all added with
+    it; so each internal node is sliced once, plus once per address."""
+    seen = set()
+    for a in addrs:
+        for i in range(len(a) - 1, -1, -1):
+            u = a[:i]
+            if u in seen:
+                break
+            seen.add(u)
+    return sorted(seen)
 
 
 def _tree_pair_graph(n, triple_by_dom):

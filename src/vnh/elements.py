@@ -490,16 +490,19 @@ def _torsion_loop_records(n, triple_by_dom):
             if nesting is not None:
                 return nesting
     records, seen = [], set()
+    ident = tuple(range(1, n + 1))
     for c in code:
         if c in seen:
             continue
-        length, s = 0, Perm.identity(n)
+        # s = lab * s on image tuples; one Perm per record.
+        length, s = 0, ident
         while c not in seen:
             seen.add(c)
             c, lab = code[c]
-            s = lab * s
+            img = lab.images
+            s = tuple([img[j - 1] for j in s])
             length += 1
-        records.append((length, s))
+        records.append((length, Perm._trusted(s)))
     return records
 
 

@@ -321,11 +321,13 @@ _ORACLE_DATA = pathlib.Path(__file__).parent / "data" / "oracle"
     "name", sorted(p.name[: -len(".f.json")] for p in _ORACLE_DATA.glob("*.f.json"))
 )
 def test_oracle_and_order_match_golden(name, capsys):
-    # Guards oracle witnesses, inconclusive misses and element orders: the
-    # golden file is the output of `vnh oracle --oracle-bound 4 F G`, then
-    # `vnh order --cap 12` of F and of G.
+    # Guards oracle witnesses, inconclusive misses, element orders and the
+    # conjugacy verdict: the golden file is the output of `vnh oracle
+    # --oracle-bound 4 F G`, then `vnh order --cap 12` of F and of G, then
+    # `vnh conjugate F G` (true for planted pairs, false for separated ones).
     first, second = (str(_ORACLE_DATA / f"{name}.{side}.json") for side in "fg")
     assert main(["oracle", "--oracle-bound", "4", first, second]) in (0, 3)
     assert main(["order", "--cap", "12", first]) == 0
     assert main(["order", "--cap", "12", second]) == 0
+    assert main(["conjugate", first, second]) == 0
     assert capsys.readouterr().out == (_ORACLE_DATA / f"{name}.txt").read_text()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vnh import closed
 from vnh.closed import (
     ClosedDiagram,
     FreeLoop,
@@ -307,6 +308,66 @@ def test_subgroup_mismatch():
         are_conjugate(f, g)
 
 
+def _same_tree_element(n, h, rng, max_carets):
+    """Random element whose two trees coincide: it permutes the cones of
+    its leaves, so it is torsion."""
+    g = random_element(n, h, rng, max_carets=max_carets)
+    return TreePairElement(n, h, g.domain_tree, g.domain_tree, g.tau, g.labels)
+
+
+def _shift(n, h):
+    """x0 of V_n: domain leaf (1, 1) maps onto range leaf (1), a cone onto
+    a strictly larger one, so the element has infinite order."""
+    caret = (LEAF,) * n
+    one = Perm.identity(n)
+    dom = (caret,) + (LEAF,) * (n - 1)
+    ran = (LEAF,) * (n - 1) + (caret,)
+    return TreePairElement(n, h, dom, ran, tuple(range(1, 2 * n)), (one,) * (2 * n - 1))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_are_conjugate_agrees_with_the_invariant(name, rng):
+    # `are_conjugate` decides in stages (torsion status, then the torsion or
+    # the closure invariant); its verdict is equality of the invariants on
+    # torsion/infinite-order pairs, planted conjugates and random pairs.
+    n, h, max_carets = CLOSURE_GROUPS[name]
+    w = random_element(n, h, rng, max_carets=max_carets)
+    t = _same_tree_element(n, h, rng, max_carets)
+    x = conj(w, _shift(n, h))
+    f = random_element(n, h, rng, max_carets=max_carets)
+    assert is_torsion(t) and not is_torsion(x)
+    for a in (t, x, f):
+        assert are_conjugate(a, conj(w, a))
+    pairs = [(t, x), (x, t), (f, t), (t, f), (f, x), (x, f)]
+    pairs.append((t, _same_tree_element(n, h, rng, max_carets)))
+    pairs.append((f, random_element(n, h, rng, max_carets=max_carets)))
+    for a, b in pairs:
+        assert are_conjugate(a, b) == (conjugacy_invariant(a) == conjugacy_invariant(b))
+
+
+def test_decided_pairs_build_no_closure(monkeypatch):
+    # Torsion status alone decides a torsion/infinite-order pair, and two
+    # torsion elements compare their loop records: neither builds a closure.
+    h = Subgroup.symmetric(3)
+    x = _shift(3, h)
+    order2 = TreePairElement(3, h, LEAF, LEAF, (1,), (Perm((2, 1, 3)),))
+    order3 = TreePairElement(3, h, LEAF, LEAF, (1,), (Perm((2, 3, 1)),))
+    planted = conj(x, order2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure built")
+
+    monkeypatch.setattr(closed, "_closure_of_reduced", refuse)
+    assert not are_conjugate(order2, x) and not are_conjugate(x, order3)
+    assert not are_conjugate(order2, order3)
+    assert are_conjugate(order2, planted)
+    # Two elements of infinite order still compare their closures.
+    with pytest.raises(AssertionError, match="closure built"):
+        are_conjugate(x, x)
+
+
 def test_is_torsion_basics(rng):
     h = Subgroup.trivial(2)
     assert is_torsion(identity_element(2, h))
@@ -471,6 +532,17 @@ def test_loop_class_finds_refinements_past_a_winding_cap():
 def test_loop_class_rejects_labels_outside_h():
     with pytest.raises(ValueError):
         _loop_class([(1, Perm((2, 1)))], Subgroup.trivial(2))
+
+
+def test_loop_class_memo_is_shared_within_h_classes():
+    # Records relabelled within their H-classes, and listed in another
+    # order, have the same memo key: one entry, and the identical value.
+    h = Subgroup.symmetric(3)
+    a = [(1, Perm((2, 1, 3))), (2, Perm((2, 3, 1)))]
+    b = [(2, Perm((3, 1, 2))), (1, Perm((1, 3, 2)))]
+    first = _loop_class(a, h)
+    assert _loop_class(b, h) is first
+    assert len(h._loop_classes) == 1
 
 
 _BFS_CACHE = {}

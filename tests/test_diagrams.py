@@ -14,6 +14,7 @@ from vnh.diagrams import (
     NotReducedError,
     StrandDiagram,
     _Graph,
+    _internal_nodes,
     build_diagram,
     concatenate,
     cut_diagram,
@@ -33,7 +34,14 @@ from vnh.elements import (
 )
 from vnh.perms import Perm, Subgroup
 from vnh.rewriting import reduce
-from vnh.trees import LEAF, common_expansion, expand_leaf, leaf_addresses, parse_tree
+from vnh.trees import (
+    LEAF,
+    common_expansion,
+    expand_leaf,
+    leaf_addresses,
+    parse_tree,
+    random_tree,
+)
 
 
 def five_leaf_ternary_element():
@@ -112,6 +120,29 @@ def test_deep_combs_expand_and_cut_without_recursion():
     assert m_right == [1] * 400 + list(range(2, 402))
     assert m_left == list(range(1, 401)) + [401] * 400
     assert back.triples() == g.triples()
+
+
+def test_internal_nodes_match_the_set_of_proper_prefixes(rng):
+    # `_internal_nodes` stops each address's walk at the first prefix seen;
+    # its output is the sorted set of every proper prefix, whatever the
+    # order of the addresses (the range side passes them in domain order).
+    def reference(addrs):
+        return sorted({a[:i] for a in addrs for i in range(len(a))})
+
+    for n in (2, 3, 4):
+        for _ in range(100):
+            addrs = leaf_addresses(random_tree(n, 1 + rng.randrange(12) * (n - 1), rng))
+            rng.shuffle(addrs)
+            assert _internal_nodes(addrs) == reference(addrs)
+    assert _internal_nodes([()]) == []
+    # Right combs: against the reference at 201 leaves, and against the
+    # closed form (2,)*i, 0 <= i < 1200, at 1,201 leaves, where the
+    # reference alone takes seconds.
+    def right_comb(leaves):
+        return [(2,) * i + (1,) for i in range(leaves - 1)] + [(2,) * (leaves - 1)]
+
+    assert _internal_nodes(right_comb(201)[::-1]) == reference(right_comb(201))
+    assert _internal_nodes(right_comb(1201)[::-1]) == [(2,) * i for i in range(1200)]
 
 
 def test_diagram_equal_on_rebuilds(rng, group):
