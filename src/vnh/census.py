@@ -12,14 +12,17 @@ n whenever p divides neither n-1 nor ord(P) — the engine computes it from
 the congruence, never from the closed form; its signatures are counted
 directly, never by enumerating tuples.
 
-The oracle and the census run on the triple view of tree-pair candidates,
-{domain address: (range address, label)}: the oracle composes and reduces
-no element, and the census builds one only for each class representative.
-The oracle reads each candidate's triples off the leaf addresses of its
-shape block, computed once per block, and first tests h at a few points
-x, where a witness must have f(h(x)) = h(g(x)); f's images of the points
-are kept for the call.  It composes and reduces h^-1 f h, the exact
-compare that decides, only for the candidates that pass.
+The oracle and the census decide on the triple view of tree-pair
+candidates, {domain address: (range address, label)}: the oracle composes
+and reduces no element, and the census builds one only for each class
+representative.  The oracle first tests each candidate h of
+`reduced_elements`, which tests reduction on tau and the labels, at a few
+points x, where a witness must have f(h(x)) = h(g(x)).  The domain leaf of
+h above each point and the letters below it are tabled once per domain
+tree, h's range leaf addresses once per range tree, so the test costs
+lookups in h.tau and h.labels; f's images of the points are kept for the
+call.  Only a candidate that passes gets its triples, and h^-1 f h is
+composed and reduced, the exact compare that decides.
 The census searches every (domain, range) shape block.  Within a block a
 depth-first search assigns each domain leaf a (range leaf, label) and
 abandons a partial assignment as soon as one of the order test's probes,
@@ -45,15 +48,17 @@ from .elements import (
     _check_compatible,
     _collapse_once,
     _compose_triples,
+    _image_form,
     _invert_triples,
     _is_identity,
-    _leaf_triples,
+    _leaf_above,
     _reduce_triples,
     _shape_blocks,
     element_from_triples,
     reduced_elements,
 )
 from .perms import Subgroup
+from .trees import leaf_addresses
 
 
 @dataclass(frozen=True)
@@ -161,41 +166,54 @@ def nonisomorphism_witness(n: int, m: int, ord_p: int, ord_q: int) -> int:
 
 
 def _commutes_at_probes(n, f_triples, g_triples):
-    """A necessary test for h^-1 f h = g, on triples {domain address:
-    (range address, label)} of any representatives: `passes(h_triples)` is
-    True iff f(h(x)) = h(g(x)) at every probe point x = a c c c ..., one
-    per domain leaf a of g and letter c.  A witness has f o h = h o g, so
-    it passes.  The images g(x) are computed once, here, and each image
-    f(y) once per point y the candidates send a probe to: `f_at` is keyed
-    by y's unique form (prefix, c), so a hit is exact, and it lives as long
-    as `passes`."""
-    probes = [(a, c, _at_point(g_triples, a, c)) for a in g_triples for c in range(1, n + 1)]
-    f_at = {}
+    """A necessary test for h^-1 f h = g, given the triples {domain address:
+    (range address, label)} of any representatives of f and g:
+    `passes(h)` is True iff f(h(x)) = h(g(x)) at every probe point
+    x = a c c c ..., one per domain leaf a of g and letter c.  A witness has
+    f o h = h o g, so it passes.
 
-    def passes(h_triples):
-        for a, c, gx in probes:
-            hx = _at_point(h_triples, a, c)
+    Points are compared in their unique form (`elements._image_form`).  The
+    images g(x) are computed once, here.  Which domain leaf of h lies above
+    x and above g(x), and the letters of each point below that leaf, depend
+    only on h's domain tree, so they are tabled per domain tree, and h's
+    range leaf addresses per range tree; a table is rebuilt only when h's
+    tree is a different object from the last h's, which the candidates of
+    one shape block of `reduced_elements` share.  Each h(x) then costs two
+    lookups, in h.tau and h.labels, and the relabeling of a few letters.
+    Each image f(y) is computed once per point y the candidates send a
+    probe to: `f_at` is keyed by y's unique form, so a hit is exact, and it
+    lives as long as `passes`."""
+    probes = [((a, c), _at_point(g_triples, a, c)) for a in g_triples for c in range(1, n + 1)]
+    f_at = {}
+    dom = ran = table = ran_addrs = None
+
+    def below(index, point):
+        prefix, c = point
+        a = _leaf_above(index, prefix, c)
+        return index[a], prefix[len(a):], c
+
+    def passes(h):
+        nonlocal dom, ran, table, ran_addrs
+        if h.domain_tree is not dom:
+            dom = h.domain_tree
+            index = {a: i for i, a in enumerate(leaf_addresses(dom))}
+            table = [below(index, x) + below(index, gx) for x, gx in probes]
+        if h.range_tree is not ran:
+            ran = h.range_tree
+            ran_addrs = leaf_addresses(ran)
+        tau, labels = h.tau, h.labels
+        for i, rest, c, gi, grest, gc in table:
+            j = tau[i] - 1
+            hx = _image_form(ran_addrs[j], labels[j], rest, c)
             fhx = f_at.get(hx)
             if fhx is None:
                 fhx = f_at[hx] = _at_point(f_triples, *hx)
-            if fhx != _at_point(h_triples, *gx):
+            j = tau[gi] - 1
+            if fhx != _image_form(ran_addrs[j], labels[j], grest, gc):
                 return False
         return True
 
     return passes
-
-
-def _with_triples(elements):
-    """Each element h as (h, h's triples), reading the leaf addresses of a
-    tree again only when h's tree is a different object from the last h's:
-    the candidates of one shape block of `reduced_elements` share theirs."""
-    dom = ran = None
-    for h in elements:
-        if h.domain_tree is not dom:
-            dom, dom_addrs = h.domain_tree, h.domain_addresses()
-        if h.range_tree is not ran:
-            ran, ran_addrs = h.range_tree, h.range_addresses()
-        yield h, _leaf_triples(dom_addrs, ran_addrs, h.tau, h.labels)
 
 
 def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
@@ -203,14 +221,15 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     most max_leaves leaves satisfying h^-1 f h = g, else None
     (inconclusive -- the oracle is one-sided, silence is not a verdict).
 
-    The search runs in the triple view.  Each candidate h of
-    `reduced_elements` gets its triples from leaf addresses read once per
-    shape block (`_with_triples`), and is first tested at the probe points
-    of the reduced g by point evaluation alone (`_commutes_at_probes`),
-    which rejects nearly every non-witness and never a witness.  The exact
-    compare still decides: for a candidate that passes, the triples of
-    h^-1 f h are composed by merge and collapsed without building a tree
-    or an element, and reduced triples are equal exactly when the
+    The search runs in the triple view, and a candidate h of
+    `reduced_elements` costs no dict until it passes the filter.  It is
+    first tested at the probe points of the reduced g by point evaluation
+    alone (`_commutes_at_probes`), through tables read once per tree of
+    h and lookups in h.tau and h.labels; the filter rejects nearly
+    every non-witness and never a witness.  The exact compare still
+    decides: for a candidate that passes, h's triples are read, the
+    triples of h^-1 f h composed by merge and collapsed without building a
+    tree or an element, and reduced triples are equal exactly when the
     homeomorphisms are."""
     _check_compatible(f, g)
     _check_positive(max_leaves, "leaf bound")
@@ -218,9 +237,10 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     target = _reduce_triples(n, g.triples())
     f_triples = f.triples()
     passes = _commutes_at_probes(n, f_triples, target)
-    for h, h_triples in _with_triples(reduced_elements(n, f.subgroup, max_leaves)):
-        if not passes(h_triples):
+    for h in reduced_elements(n, f.subgroup, max_leaves):
+        if not passes(h):
             continue
+        h_triples = h.triples()
         conj = _compose_triples(_compose_triples(_invert_triples(h_triples), f_triples), h_triples)
         if _reduce_triples(n, conj) == target:
             return h
@@ -293,8 +313,8 @@ def _order_exactly(n, triple_by_dom, p) -> bool:
 
 def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
     """Every triple dict of one shape block whose probes all return True, in
-    domain-leaf order, sorted by (tau, label indices): the order of
-    `elements._candidates`.
+    domain-leaf order, sorted by (tau, label indices): the candidate order
+    of `reduced_elements` within the block.
 
     A depth-first search assigns each domain leaf a (range leaf, label).
     A probe's verdict depends only on the leaves it reads, so a probe that
@@ -349,10 +369,11 @@ def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
 
 
 def _order_p_candidates(n, subgroup, p, max_leaves):
-    """The candidates of `_candidates(n, subgroup, max_leaves)` that pass
-    `_order_exactly(n, ., p)`, in the same order and form, found by an
-    orbit-pruned search per shape block (`_block_passing_probes`) instead
-    of testing every candidate."""
+    """The triple dicts, in domain-leaf order, of the tree-pair candidates
+    with at most max_leaves leaves, reduced or not, that pass
+    `_order_exactly(n, ., p)`, in the candidate order of `reduced_elements`,
+    found by an orbit-pruned search per shape block
+    (`_block_passing_probes`) instead of testing every candidate."""
     elems = sorted(subgroup.elements)
     for _dom, dom_addrs, _ran, ran_addrs in _shape_blocks(n, max_leaves):
         probe = _prober(n, frozenset(dom_addrs), p)

@@ -31,7 +31,12 @@ caller receives: the enumeration builds one per reduced element it
 yields, unchecked, on the shape trees, permutations and H-instances it
 already holds (`TreePairElement._trusted`); the oracle builds none for
 its intermediate products, and the census (`element_from_triples`, which
-validates) only its class representatives.
+validates) only its class representatives.  The enumeration is the one
+place that tests reduction without a dict: per shape block it tables the
+domain carets whose children are all leaves and the all-leaf range carets
+(`_caret_tables`), per tau the carets that can collapse and the label each
+needs (`_collapsing_carets`), and each candidate then costs identity tests
+on its labels.
 """
 
 from __future__ import annotations
@@ -129,8 +134,11 @@ class TreePairElement:
         return leaf_addresses(self.range_tree)
 
     def triples(self):
-        """{domain address: (range address, label)}, in domain-leaf order."""
-        return _leaf_triples(self.domain_addresses(), self.range_addresses(), self.tau, self.labels)
+        """{domain address: (range address, label)}, in domain-leaf order:
+        domain leaf i goes to range leaf tau[i-1], which carries
+        labels[tau[i-1]-1]."""
+        dom_addrs, ran_addrs, labels = self.domain_addresses(), self.range_addresses(), self.labels
+        return {a: (ran_addrs[j - 1], labels[j - 1]) for a, j in zip(dom_addrs, self.tau)}
 
     def key(self):
         """Hashable identity of the representative (not of the homeomorphism)."""
@@ -150,13 +158,6 @@ class TreePairElement:
             f"TreePairElement(n={self.n}, {format_tree(self.domain_tree)} -> "
             f"{format_tree(self.range_tree)}, tau={list(self.tau)}, labels={labs})"
         )
-
-
-def _leaf_triples(dom_addrs, ran_addrs, tau, labels):
-    """{domain address: (range address, label)}, in domain-leaf order, from
-    the leaf addresses of both trees, tau and the labels: domain leaf i goes
-    to range leaf tau[i-1], which carries labels[tau[i-1]-1]."""
-    return {a: (ran_addrs[j - 1], labels[j - 1]) for a, j in zip(dom_addrs, tau)}
 
 
 def element_from_triples(n, subgroup, triple_by_dom) -> TreePairElement:
@@ -234,30 +235,40 @@ def _compose_triples(g_triples, f_triples):
     return out
 
 
-def _at_point(triple_by_dom, prefix, c):
-    """Image of the eventually constant point prefix c c c ... under the
-    triples {domain address: (range address, label)} of any representative,
-    in its unique form (prefix', c'): prefix' does not end in c', so two
-    points are equal exactly when their forms are.
-
-    The domain leaf above the point is its shortest prefix in the dict;
-    the label then acts letter-wise on the rest of the prefix and on c.
-    """
+def _leaf_above(leaves, prefix, c):
+    """The address in `leaves`, a complete prefix code, that is a prefix of
+    the eventually constant point prefix c c c ...: its shortest prefix
+    there."""
     k = 0
     while True:
         key = prefix[:k] if k <= len(prefix) else prefix + (c,) * (k - len(prefix))
-        hit = triple_by_dom.get(key)
-        if hit is not None:
-            break
+        if key in leaves:
+            return key
         k += 1
-    b, lab = hit
+
+
+def _image_form(b, lab, rest, c):
+    """The point b s(rest) s(c) s(c) ..., s = lab acting letter-wise, in its
+    unique form (prefix', c'): prefix' does not end in c', so two points are
+    equal exactly when their forms are.  It is the image of the point
+    a rest c c c ... under a triple a -> (b, lab)."""
     img = lab.images
-    word = b + tuple([img[x - 1] for x in prefix[k:]])
+    word = b + tuple([img[x - 1] for x in rest]) if rest else b
     c = img[c - 1]
     end = len(word)
     while end and word[end - 1] == c:
         end -= 1
     return word[:end], c
+
+
+def _at_point(triple_by_dom, prefix, c):
+    """Image of the eventually constant point prefix c c c ... under the
+    triples {domain address: (range address, label)} of any representative,
+    in its unique form (`_image_form`), read through the domain leaf above
+    the point (`_leaf_above`)."""
+    a = _leaf_above(triple_by_dom, prefix, c)
+    b, lab = triple_by_dom[a]
+    return _image_form(b, lab, prefix[len(a):], c)
 
 
 def compose(g: TreePairElement, f: TreePairElement) -> TreePairElement:
@@ -548,36 +559,86 @@ def _shape_blocks(n: int, max_leaves: int):
         k += n - 1
 
 
-def _candidates(n: int, subgroup: Subgroup, max_leaves: int):
-    """Every tree-pair candidate with at most max_leaves leaves, reduced or
-    not, as (dom, ran, tau, labels, {domain address: (range address, label)}).
+def _caret_tables(n: int, dom_addrs, ran_addrs):
+    """The two tables of one shape block that reduction is tested on, from
+    the leaf addresses of its trees: the domain carets whose n children are
+    all leaves, each as its children's leaf indices (0-based) in letter
+    order, and per range leaf, (caret number, letter) when its parent caret
+    has only leaf children, else None."""
 
-    Candidates come in the enumeration order of `reduced_elements`: shape
-    blocks as in `_shape_blocks`, then tau, then labels, both
-    lexicographically.  Each candidate gets a fresh dict.
-    """
-    elems = sorted(subgroup.elements)
-    for dom, dom_addrs, ran, ran_addrs in _shape_blocks(n, max_leaves):
-        k = len(dom_addrs)
-        for tau in itertools.permutations(range(1, k + 1)):
-            # Domain leaf i maps to range leaf tau[i-1]; the label sits on
-            # the range leaf.
-            pairs = [(dom_addrs[i], ran_addrs[j - 1], j - 1) for i, j in enumerate(tau)]
-            for labels in itertools.product(elems, repeat=k):
-                yield dom, ran, tau, labels, {a: (b, labels[j]) for a, b, j in pairs}
+    def carets(addrs):
+        index = {a: i for i, a in enumerate(addrs)}
+        kids = [
+            tuple(index.get(a[:-1] + (c,)) for c in range(1, n + 1))
+            for a in addrs
+            if a and a[-1] == 1
+        ]
+        return [t for t in kids if None not in t]
+
+    ran_caret = [None] * len(ran_addrs)
+    for number, kids in enumerate(carets(ran_addrs)):
+        for c, j in enumerate(kids, start=1):
+            ran_caret[j] = (number, c)
+    return carets(dom_addrs), ran_caret
+
+
+def _collapsing_carets(tau, tables, by_images):
+    """The domain carets of a block (`_caret_tables`) that collapse under
+    tau for some labels, each as (js, s): its children go to the range
+    leaves js (0-based, in letter order), and it collapses exactly when
+    labels[j] is s for every j in js.  This is the test of `_collapse_once`:
+    child c must go to child s(c) of one range caret whose children are all
+    leaves, under the label s of every child, so s is read off the letters
+    of the range children, and it must be in H.  `by_images` maps each
+    image tuple of H to H's own instance."""
+    dom_carets, ran_caret = tables
+    pinned = []
+    for kids in dom_carets:
+        js = tuple([tau[i] - 1 for i in kids])
+        at = [ran_caret[j] for j in js]
+        if None not in at and len({number for number, _ in at}) == 1:
+            s = by_images.get(tuple([c for _, c in at]))
+            if s is not None:
+                pinned.append((js, s))
+    return pinned
+
+
+def _collapses(labels, pinned):
+    """True iff labels, a tuple of H's own instances, collapse one of the
+    carets `_collapsing_carets` pinned for the candidate's tau."""
+    for js, s in pinned:
+        for j in js:
+            if labels[j] is not s:
+                break
+        else:
+            return True
+    return False
 
 
 def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):
     """All reduced elements with at most max_leaves leaves, deterministically.
 
     Each homeomorphism with a representative in range appears exactly once,
-    as its reduced tree pair.  Reduction is tested on the triple view of each
-    candidate (see `_candidates`), and only the reduced candidates are built
-    as elements, unchecked (`TreePairElement._trusted`): their trees come
-    from `all_trees`, tau from `permutations` and the labels are H's own
-    instances, so each equals the validated element.  The candidates of one
-    shape block share their tree objects.
+    as its reduced tree pair.  Candidates come in shape blocks as in
+    `_shape_blocks`, then tau, then labels, both lexicographically.
+    Reduction is tested on tau and the labels, with no triple dict: the
+    carets of a block are tabled once (`_caret_tables`), the carets that can
+    collapse under tau, with the label each needs, once per tau
+    (`_collapsing_carets`), and each candidate then costs identity tests of
+    its labels (`_collapses`), none at all under a tau that pins no caret.
+    Only the reduced candidates are built as elements, unchecked
+    (`TreePairElement._trusted`): their trees come from `all_trees`, tau
+    from `permutations` and the labels are H's own instances, so each
+    equals the validated element.  The candidates of one shape block share
+    their tree objects.
     """
-    for dom, ran, tau, labels, triple_by_dom in _candidates(n, subgroup, max_leaves):
-        if not _collapse_once(n, triple_by_dom):
-            yield TreePairElement._trusted(n, subgroup, dom, ran, tau, labels)
+    elems = sorted(subgroup.elements)
+    by_images = {lab.images: lab for lab in elems}
+    for dom, dom_addrs, ran, ran_addrs in _shape_blocks(n, max_leaves):
+        k = len(dom_addrs)
+        tables = _caret_tables(n, dom_addrs, ran_addrs)
+        for tau in itertools.permutations(range(1, k + 1)):
+            pinned = _collapsing_carets(tau, tables, by_images)
+            for labels in itertools.product(elems, repeat=k):
+                if not (pinned and _collapses(labels, pinned)):
+                    yield TreePairElement._trusted(n, subgroup, dom, ran, tau, labels)

@@ -352,10 +352,13 @@ def _order(redexes):
 
 def _rematch(g, vertices, at):
     """Set `at[v]` ({first anchor: redexes}) to the redexes now at each of
-    `vertices`, dropping the vertices with none; closed graphs leave out IV."""
+    `vertices`, dropping the vertices with none; closed graphs leave out IV.
+    No step adds or removes a main source or sink, so whether g is closed is
+    read once per call."""
+    closed = g.is_closed()
     for v in vertices:
         found = _redexes_at(g, v, [])
-        if g.is_closed():
+        if closed:
             found = [r for r in found if r.rule != "IV"]
         if found:
             at[v] = found

@@ -1,7 +1,9 @@
 import itertools
 import math
+import random
 
 import pytest
+from conftest import candidates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,6 @@ from vnh.census import (
     _order_exactly,
     _order_p_candidates,
     _prober,
-    _with_triples,
     class_census_experiment,
     count_congruence_solutions,
     count_order_p_classes,
@@ -29,7 +30,7 @@ from vnh.closed import (
 )
 from vnh.elements import (
     TreePairElement,
-    _candidates,
+    _at_point,
     _collapse_once,
     _reduce_triples,
     _torsion_loop_records,
@@ -340,14 +341,14 @@ def test_oracle_builds_only_the_candidates_it_scans(monkeypatch):
 def test_trusted_candidates_are_validated_elements(n, h, bound):
     # `reduced_elements` builds its elements unchecked; each must be the
     # element the validating constructor builds from the same fields, hold
-    # H's own label instances, and give the oracle the triples the element
-    # itself reports, in the same order.
+    # H's own label instances, and report the same triples, in the same
+    # order.
     count = 0
-    for e, triples in _with_triples(reduced_elements(n, h, bound)):
+    for e in reduced_elements(n, h, bound):
         checked = TreePairElement(n, h, e.domain_tree, e.range_tree, e.tau, e.labels)
         assert e == checked
         assert all(lab is h._members[lab] for lab in e.labels)
-        assert list(triples.items()) == list(checked.triples().items())
+        assert list(e.triples().items()) == list(checked.triples().items())
         count += 1
     assert count > 1
 
@@ -419,7 +420,54 @@ def test_point_filter_passes_every_true_witness(name, rng):
     w = random_element(n, h, rng, max_carets=2)
     target = _reduce_triples(n, compose(compose(invert(w), f), w).triples())
     passes = _commutes_at_probes(n, f.triples(), target)
-    assert passes(_reduce_triples(n, w.triples()))
+    assert passes(reduce_element(w))
+
+
+def _reference_passes(n, f_triples, g_triples, h_triples):
+    """The probe filter on triple dicts: f(h(x)) = h(g(x)) at every point
+    x = a c c c ..., a a domain leaf of g and c a letter, each image read by
+    `_at_point`.  A test oracle for `_commutes_at_probes`."""
+    return all(
+        _at_point(f_triples, *_at_point(h_triples, a, c))
+        == _at_point(h_triples, *_at_point(g_triples, a, c))
+        for a in g_triples
+        for c in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("V2(Z2)", 4), ("V3(S3)", 3), ("V4(S4)", 4)], ids=["V2(Z2)", "V3(S3)", "V4(S4)"]
+)
+def test_block_probes_match_dict_probes(name, bound):
+    # `passes` reads h through a table per domain tree and the range leaf
+    # addresses per range tree; on every candidate of the bounded blocks it
+    # must give the verdict of the filter on h's triple dict.  One `passes`
+    # serves all candidates, so its tables and f's memoised images carry
+    # over from block to block as they do in the oracle.  V4(S4) has
+    # 7,962,624 candidates in range and is cut after the first 30,000, all
+    # under one tau, so random elements, each on trees of its own, follow.
+    n, h = ORDER_GROUPS[name]
+    rng = random.Random(f"block-probes/{name}")
+    ident = identity_element(n, h)
+    hits = misses = 0
+    for planted in (True, False, True, False):
+        f = ident
+        while equal_elements(f, ident):
+            f = random_element(n, h, rng, max_carets=2)
+        w = random_element(n, h, rng, max_carets=1)
+        g = compose(compose(invert(w), f), w) if planted else random_element(n, h, rng, 2)
+        f_triples, target = f.triples(), _reduce_triples(n, g.triples())
+        passes = _commutes_at_probes(n, f_triples, target)
+        cands = itertools.chain(
+            itertools.islice(reduced_elements(n, h, bound), 30_000),
+            (random_element(n, h, rng, max_carets=3) for _ in range(500)),
+        )
+        for e in cands:
+            got = passes(e)
+            assert got == _reference_passes(n, f_triples, target, e.triples())
+            hits += got
+            misses += not got
+    assert hits and misses
 
 
 def test_census_v2_id_p3():
@@ -735,7 +783,7 @@ def test_pruned_search_yields_the_order_p_candidates(n, h, p, max_leaves):
     def comparable(cands):
         return [[(a, b, lab.images) for a, (b, lab) in c.items()] for c in cands]
 
-    walk = [c[4] for c in _candidates(n, h, max_leaves) if _order_exactly(n, c[4], p)]
+    walk = [c[4] for c in candidates(n, h, max_leaves) if _order_exactly(n, c[4], p)]
     assert comparable(_order_p_candidates(n, h, p, max_leaves)) == comparable(walk)
 
 

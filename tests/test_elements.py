@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import candidates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,10 @@ from vnh.elements import (
     ArityMismatch,
     TreePairElement,
     _at_point,
-    _candidates,
+    _caret_tables,
     _collapse_once,
+    _collapses,
+    _collapsing_carets,
     _reduce_triples,
     compose,
     element_from_triples,
@@ -571,8 +574,38 @@ def test_collapse_matches_reference(name):
         else:
             triples[a], triples[b] = (triples[b][0], triples[a][1]), (triples[a][0], triples[b][1])
         misses += not _assert_collapse_matches_reference(n, triples)
-    for *_, triple_by_dom in itertools.islice(_candidates(n, h, 2 * n - 1), 3000):
+    for *_, triple_by_dom in itertools.islice(candidates(n, h, 2 * n - 1), 3000):
         hit = _assert_collapse_matches_reference(n, triple_by_dom)
         hits += hit
         misses += not hit
+    assert hits and misses
+
+
+@pytest.mark.parametrize(
+    "n,h,max_leaves,count",
+    [
+        (2, Subgroup.trivial(2), 5, None),
+        (2, Subgroup.symmetric(2), 4, None),
+        (3, Subgroup.symmetric(3), 3, None),
+        (4, Subgroup.symmetric(4), 4, 20_000),
+    ],
+    ids=["V2(Id)", "V2(Z2)", "V3(S3)", "V4(S4)-first-20000"],
+)
+def test_collapse_on_tau_and_labels_matches_collapse_once(n, h, max_leaves, count):
+    # `reduced_elements` tests reduction on tau and the labels through the
+    # caret tables of each shape block; on every candidate it must agree
+    # with `_collapse_once` on the candidate's triple dict.
+    by_images = {lab.images: lab for lab in h.elements}
+    dom = ran = None
+    hits = misses = 0
+    for cand_dom, cand_ran, tau, labels, triple_by_dom in itertools.islice(
+        candidates(n, h, max_leaves), count
+    ):
+        if cand_dom is not dom or cand_ran is not ran:
+            dom, ran = cand_dom, cand_ran
+            tables = _caret_tables(n, leaf_addresses(dom), leaf_addresses(ran))
+        got = _collapses(labels, _collapsing_carets(tau, tables, by_images))
+        assert got == _collapse_once(n, triple_by_dom)
+        hits += got
+        misses += not got
     assert hits and misses
