@@ -23,17 +23,22 @@ tree, h's range leaf addresses once per range tree, so the test costs
 lookups in h.tau and h.labels; f's images of the points are kept for the
 call.  Only a candidate that passes gets its triples, and h^-1 f h is
 composed and reduced, the exact compare that decides.
+
 The census searches every (domain, range) shape block.  Within a block a
 depth-first search assigns each domain leaf a (range leaf, label) and
 abandons a partial assignment as soon as one of the order test's probes,
 all of whose leaves are assigned, fails; a candidate is tested for
-reduction only once every probe has passed.  A reduced order-p candidate
-is bucketed by the loop records of the permutation it induces on an
-invariant prefix code, read off its triples with no diagram built by
-`closed._torsion_records`, the one reader of torsion, which
-`closed.conjugacy_invariant` calls for every element too.  The key is
-`closed._torsion_invariant` of the records, and the first candidate of
-each class is the representative it reports.
+reduction only once every probe has passed.  A probe that reaches an
+unassigned leaf stops there and keeps its state; when that leaf is
+assigned, the probe resumes from the state, not from its start.  The
+probes of one domain shape share a table of the domain leaf above each
+probe word, filled as they go and kept for every block of the shape.  A
+reduced order-p candidate is bucketed by the loop records of the
+permutation it induces on an invariant prefix code, read off its triples
+with no diagram built by `closed._torsion_records`, the one reader of
+torsion, which `closed.conjugacy_invariant` calls for every element too.
+The key is `closed._torsion_invariant` of the records, and the first
+candidate of each class is the representative it reports.
 """
 
 from __future__ import annotations
@@ -247,82 +252,88 @@ def oracle_conjugate(f: TreePairElement, g: TreePairElement, max_leaves: int):
     return None
 
 
-def _prober(n, dom, p):
-    """The padded probe of the order-p test for one domain shape `dom` (a
-    collection of the domain leaf addresses).
+def _prober(n, dom_addrs, p):
+    """The padded probes of the order-p test for one domain shape, given by
+    its leaf addresses `dom_addrs`; built once per shape and shared by every
+    block of it.  Returns (starts, probe).
 
-    `probe(triple_by_dom, a)` iterates the prefix action p times on the
-    probe a 1^pad below domain leaf a.  Labels act letter-wise, so the probe
-    word is always prefix + c^m for one letter c; it is carried as
-    (prefix, c, m), and the tail action as an image tuple.  The probe
-    returns True when the word comes back to a 1^pad with identity tail
-    action and False when it does not.  `triple_by_dom` may hold the
-    triples of only some leaves of `dom`: the probe then returns the first
-    leaf it reaches that has none, and the leaves it reads before that one
-    are the only ones its verdict depends on.
+    A probe iterates the prefix action p times on the word a 1^pad below
+    domain leaf a.  Labels act letter-wise, so the word is always
+    prefix + c^m for one letter c; it is carried as (prefix, c, m), and the
+    tail action as an image tuple.  Its state is (a, prefix, c, m, tail,
+    steps left), and `starts` maps each domain leaf a, in `dom_addrs` order,
+    to the state of its probe before the first step.
+
+    `probe(triple_by_dom, state)` runs the probe on from `state`.  It returns
+    True when the word comes back to a 1^pad with identity tail action, and
+    False when it does not.  When it reaches a leaf that `triple_by_dom` has
+    no triple for, it returns (leaf, state): resuming that state once the
+    leaf has its triple goes on where the probe stopped.  A verdict depends
+    only on the triples of the leaves the probe reads.  The domain leaf
+    above prefix c^pad depends only on (prefix, c); it is found once per
+    prober and kept in a table that lives as long as the prober.  An
+    identity label leaves the suffix, the letter and the tail as they are.
     """
+    dom = frozenset(dom_addrs)
     lengths = sorted(set(map(len, dom)))
     pad = (p + 2) * lengths[-1] + 1
     ident = tuple(range(1, n + 1))
+    # (prefix, c) -> (the domain leaf above prefix c^pad, the letters of
+    # prefix below it, the letters c the leaf takes off c^pad)
+    leaf_at = {}
 
-    def probe(triple_by_dom, a):
-        prefix, c, m = a, 1, pad
-        tail = ident
-        for _ in range(p):
-            for cut in lengths:
-                key = prefix[:cut] if cut <= len(prefix) else prefix + (c,) * (cut - len(prefix))
-                if key in dom:
-                    break
-            else:
-                raise AssertionError("probe reaches no domain leaf")
-            hit = triple_by_dom.get(key)
+    def leaf_above(prefix, c):
+        for cut in lengths:
+            key = prefix[:cut] if cut <= len(prefix) else prefix + (c,) * (cut - len(prefix))
+            if key in dom:
+                return key, prefix[cut:], max(cut - len(prefix), 0)
+        raise AssertionError("probe reaches no domain leaf")
+
+    def probe(triple_by_dom, state):
+        a, prefix, c, m, tail, left = state
+        while left:
+            found = leaf_at.get((prefix, c))
+            if found is None:
+                found = leaf_at[prefix, c] = leaf_above(prefix, c)
+            leaf, rest, drop = found
+            hit = triple_by_dom.get(leaf)
             if hit is None:
-                return key
+                return leaf, (a, prefix, c, m, tail, left)
             b, lab = hit
             img = lab.images
-            if cut < len(prefix):
-                prefix = b + tuple([img[x - 1] for x in prefix[cut:]])
+            if img == ident:
+                prefix = b + rest
             else:
-                m -= cut - len(prefix)
-                prefix = b
-            c = img[c - 1]
-            tail = tuple([img[t - 1] for t in tail])
+                prefix = b + tuple([img[x - 1] for x in rest])
+                c = img[c - 1]
+                tail = tuple([img[t - 1] for t in tail])
+            m -= drop
+            left -= 1
         if c != 1 or tail != ident or len(prefix) + m != len(a) + pad:
             return False
         k = max(len(prefix), len(a))
         return prefix + (1,) * (k - len(prefix)) == a + (1,) * (k - len(a))
 
-    return probe
+    return {a: (a, a, 1, pad, ident, p) for a in dom_addrs}, probe
 
 
-def _order_exactly(n, triple_by_dom, p) -> bool:
-    """Exact test for order p, p prime, on the triple view {domain address:
-    (range address, label)} of any representative, reduced or not: g != id
-    and g^p = id.
-
-    g^p is the identity iff the prefix action, iterated p times on a padded
-    probe below every domain leaf, returns each probe to itself with
-    identity residual tail action (see `_prober`).  Order is a property of
-    the homeomorphism, so the verdict does not depend on the representative.
-    """
-    if _is_identity(triple_by_dom):
-        return False
-    probe = _prober(n, triple_by_dom, p)
-    return all(probe(triple_by_dom, a) is True for a in triple_by_dom)
-
-
-def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
+def _block_passing_probes(prober, dom_addrs, ran_addrs, elems):
     """Every triple dict of one shape block whose probes all return True, in
     domain-leaf order, sorted by (tau, label indices): the candidate order
-    of `reduced_elements` within the block.
+    of `reduced_elements` within the block.  `prober` is the (starts,
+    probe) pair of `_prober` for the block's domain shape.
 
     A depth-first search assigns each domain leaf a (range leaf, label).
     A probe's verdict depends only on the leaves it reads, so a probe that
     fails once they are assigned rules out every completion, and the search
-    backtracks at once.  Each undecided probe waits for the leaf it stopped
-    at; the next leaf assigned is the one the probe just rerun waits for, so
+    backtracks at once.  Each undecided probe waits, with its state, for
+    the leaf it stopped at; when that leaf is assigned, the probe resumes
+    from its state rather than from its start.  The waiting set is copied
+    for the next level only once every resumed probe has passed, and the
+    next leaf assigned is the one the first resumed probe now waits for, so
     an orbit closes within p assignments.
     """
+    starts, probe = prober
     k = len(dom_addrs)
     index = {a: i for i, a in enumerate(dom_addrs)}
     triple_by_dom = {}
@@ -332,30 +343,38 @@ def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
     found = []
 
     def extend(waiting, x):
-        # waiting: {probe start: the unassigned leaf it stopped at}
-        rerun = [a for a, y in waiting.items() if y == x]
+        # waiting: {probe start: (the unassigned leaf it stopped at, its state)}
+        resumed = [(a, state) for a, (y, state) in waiting.items() if y == x]
+        i = index[x]
         for j in range(k):
             if used[j]:
                 continue
             used[j] = True
-            ran_of[index[x]] = j + 1
+            ran_of[i] = j + 1
+            b = ran_addrs[j]
             for li, lab in enumerate(elems):
-                triple_by_dom[x] = (ran_addrs[j], lab)
-                nxt = dict(waiting)
-                for a in rerun:
-                    got = probe(triple_by_dom, a)
+                triple_by_dom[x] = (b, lab)
+                stopped = []
+                done = []
+                for a, state in resumed:
+                    got = probe(triple_by_dom, state)
                     if got is False:
                         break
                     if got is True:
-                        del nxt[a]
+                        done.append(a)
                     else:
-                        nxt[a] = got
+                        stopped.append((a, got))
                 else:
                     label_of[j] = li
-                    if nxt:
-                        # Next, the leaf a rerun probe waits for, if any.
-                        waited = (nxt[a] for a in rerun if a in nxt)
-                        extend(nxt, next(itertools.chain(waited, nxt.values())))
+                    if len(done) < len(waiting):
+                        nxt = dict(waiting)
+                        for a in done:
+                            del nxt[a]
+                        nxt.update(stopped)
+                        # Next, the leaf the first resumed probe now waits for, else
+                        # the leaf of the first probe still waiting.
+                        _, (y, _) = next(iter(stopped or nxt.items()))
+                        extend(nxt, y)
                     else:
                         found.append(
                             (tuple(ran_of), tuple(label_of), {a: triple_by_dom[a] for a in dom_addrs})
@@ -363,21 +382,26 @@ def _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
             del triple_by_dom[x]
             used[j] = False
 
-    extend({a: a for a in dom_addrs}, dom_addrs[0])
+    extend({a: (a, state) for a, state in starts.items()}, dom_addrs[0])
     found.sort(key=lambda t: t[:2])
     return [triple_by_dom for _, _, triple_by_dom in found]
 
 
 def _order_p_candidates(n, subgroup, p, max_leaves):
     """The triple dicts, in domain-leaf order, of the tree-pair candidates
-    with at most max_leaves leaves, reduced or not, that pass
-    `_order_exactly(n, ., p)`, in the candidate order of `reduced_elements`,
-    found by an orbit-pruned search per shape block
-    (`_block_passing_probes`) instead of testing every candidate."""
+    with at most max_leaves leaves, reduced or not, other than the identity,
+    whose order-p probes all return True, in the candidate order of
+    `reduced_elements`: exactly the candidates of order p.  They are found
+    by an orbit-pruned search per shape block (`_block_passing_probes`)
+    instead of testing every candidate.  `_shape_blocks` yields the blocks
+    of one domain shape together, and one prober serves them all."""
     elems = sorted(subgroup.elements)
-    for _dom, dom_addrs, _ran, ran_addrs in _shape_blocks(n, max_leaves):
-        probe = _prober(n, frozenset(dom_addrs), p)
-        for triple_by_dom in _block_passing_probes(probe, dom_addrs, ran_addrs, elems):
+    dom = prober = None
+    for block_dom, dom_addrs, _ran, ran_addrs in _shape_blocks(n, max_leaves):
+        if block_dom is not dom:
+            dom = block_dom
+            prober = _prober(n, dom_addrs, p)
+        for triple_by_dom in _block_passing_probes(prober, dom_addrs, ran_addrs, elems):
             if not _is_identity(triple_by_dom):
                 yield triple_by_dom
 

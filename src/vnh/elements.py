@@ -211,10 +211,14 @@ def _compose_triples(g_triples, f_triples):
     two complete prefix codes in lexicographic order, so walking them in step
     pairs every leaf w of their minimal common expansion (the longer of b
     and c) with the two triples above it.  The result is a fresh, unsorted dict.
+    A factor has few distinct labels, so each inverse image tuple and each
+    product label is computed once per call, keyed on image tuples.
     """
     fs = sorted(f_triples.items(), key=lambda t: t[1][0])
     gs = sorted(g_triples.items(), key=itemgetter(0))
     out = {}
+    inverse = {}  # s.images -> the images of s^-1
+    product = {}  # (t.images, s.images) -> t * s
     i = j = 0
     while i < len(fs):
         a, (b, s) = fs[i]
@@ -230,8 +234,20 @@ def _compose_triples(g_triples, f_triples):
             if j == len(gs) or gs[j][0][: len(b)] != b:
                 i += 1
         x = w[len(b):]
+        if x:
+            inv = inverse.get(s.images)
+            if inv is None:
+                inv = inverse[s.images] = s.inverse().images
+            a += tuple([inv[z - 1] for z in x])
         y = w[len(c):]
-        out[a + s.inverse().act_word(x) if x else a] = (d + t.act_word(y) if y else d, t * s)
+        if y:
+            img = t.images
+            d += tuple([img[z - 1] for z in y])
+        key = t.images, s.images
+        ts = product.get(key)
+        if ts is None:
+            ts = product[key] = t * s
+        out[a] = (d, ts)
     return out
 
 

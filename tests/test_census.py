@@ -11,7 +11,6 @@ import vnh.census
 from vnh.census import (
     CongruenceInstance,
     _commutes_at_probes,
-    _order_exactly,
     _order_p_candidates,
     _prober,
     class_census_experiment,
@@ -32,6 +31,7 @@ from vnh.elements import (
     TreePairElement,
     _at_point,
     _collapse_once,
+    _is_identity,
     _reduce_triples,
     _torsion_loop_records,
     compose,
@@ -529,6 +529,22 @@ def _torsion_biased_element(n, h, rng):
     return compose(compose(invert(w), g), w)
 
 
+def _order_exactly(n, triple_by_dom, p) -> bool:
+    """Exact test for order p, p prime, on the triple view {domain address:
+    (range address, label)} of any representative, reduced or not: g != id
+    and g^p = id.
+
+    g^p is the identity iff the prefix action, iterated p times on a padded
+    probe below every domain leaf, returns each probe to itself with
+    identity residual tail action (see `census._prober`).  Order is a
+    property of the homeomorphism, so the verdict does not depend on the
+    representative."""
+    if _is_identity(triple_by_dom):
+        return False
+    starts, probe = _prober(n, list(triple_by_dom), p)
+    return all(probe(triple_by_dom, state) is True for state in starts.values())
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_GROUPS))
 @settings(max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
@@ -787,6 +803,16 @@ def test_pruned_search_yields_the_order_p_candidates(n, h, p, max_leaves):
     assert comparable(_order_p_candidates(n, h, p, max_leaves)) == comparable(walk)
 
 
+class _CountingDict(dict):
+    """A triple dict that counts the lookups made through `get`."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_GROUPS))
 @settings(max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
@@ -796,14 +822,23 @@ def test_probe_decided_on_partial_triples_matches_full_verdict(name, rng):
     full = g.triples()
     for p in (2, 3, 5):
         assert _order_exactly(n, full, p) == _padded_probe_order_exactly(n, full, p)
-        probe = _prober(n, frozenset(full), p)
-        partial = {a: t for a, t in full.items() if rng.random() < 0.7}
-        for a in full:
-            verdict = probe(full, a)
+        starts, probe = _prober(n, list(full), p)
+        withheld = {a for a in full if rng.random() >= 0.7}
+        for start in starts.values():
+            verdict = probe(full, start)
             assert verdict is True or verdict is False
-            got = probe(partial, a)
-            if got is True or got is False:
-                assert got == verdict
-            else:
-                # Undecided: it names the withheld leaf it stopped at.
-                assert got in full and got not in partial
+            partial = _CountingDict((a, t) for a, t in full.items() if a not in withheld)
+            got = probe(partial, start)
+            stops = 0
+            while got is not True and got is not False:
+                # Undecided: it names the withheld leaf it stopped at, and
+                # its state resumes once that leaf has its triple.
+                leaf, state = got
+                assert leaf in full and leaf not in partial
+                partial[leaf] = full[leaf]
+                stops += 1
+                got = probe(partial, state)
+            assert got == verdict
+            # A resumed probe goes on where it stopped: each of its p steps
+            # reads one leaf, and each stop reads one more.
+            assert partial.reads == p + stops

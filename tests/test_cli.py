@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,6 +19,21 @@ CARET_SWAP_Z2 = '{"n": 2, "H": [[2, 1]], "domain": "(* *)", "range": "(* *)", "t
 # A V4(S4) element whose free loops a 6,000-state search could not normalize.
 V4_S4_LOOPS = '{"n": 4, "H": [[2, 1, 3, 4], [2, 3, 4, 1]], "domain": "(* (* * * *) * *)", "range": "(* * (* * * *) *)", "tau": [3, 7, 6, 1, 4, 2, 5], "labels": [[4, 1, 2, 3], [3, 4, 1, 2], [1, 3, 2, 4], [3, 4, 2, 1], [3, 4, 2, 1], [4, 2, 3, 1], [2, 3, 1, 4]]}'
 V4_S4_CONJUGATOR = '{"n": 4, "H": [[2, 1, 3, 4], [2, 3, 4, 1]], "domain": "(* * * (* * * *))", "range": "(* * * (* * * *))", "tau": [1, 2, 5, 3, 6, 7, 4], "labels": [[4, 2, 3, 1], [3, 4, 2, 1], [4, 1, 3, 2], [3, 4, 1, 2], [1, 2, 4, 3], [4, 1, 3, 2], [1, 2, 4, 3]]}'
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_cli(*args, input=None):
+    """`python -m vnh.cli args` in a subprocess that imports vnh from this
+    checkout's src/, put before any inherited PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "vnh.cli", *args],
+        input=input,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 @pytest.fixture
@@ -219,11 +235,7 @@ def test_leaf_bounds_below_one_exit_2(files, capsys, args):
 
 
 def test_cli_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "vnh.cli", "census", "--n", "3", "--H", "id", "--p", "5"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_cli("census", "--n", "3", "--H", "id", "--p", "5")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "classes=3 expected=3"
 
@@ -252,12 +264,7 @@ _BAD_ELEMENT = {"n": 2, "H": [], "domain": "*", "range": "*", "tau": [1], "label
     ids=["H-int", "H-int-list", "tau-int", "labels-int-list", "domain-int"],
 )
 def test_mistyped_json_fields_exit_2_without_traceback(args, element):
-    proc = subprocess.run(
-        [sys.executable, "-m", "vnh.cli", *args],
-        input="" if element is None else json.dumps(element),
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_cli(*args, input="" if element is None else json.dumps(element))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
@@ -287,12 +294,7 @@ def test_deep_trees_parse_and_invert_round_trip():
     }
 
     def run(command, text):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vnh.cli", command, "-"],
-            input=text,
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli(command, "-", input=text)
         assert proc.returncode == 0, proc.stderr[-500:]
         assert proc.stderr == ""
         return proc.stdout
