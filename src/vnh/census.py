@@ -37,8 +37,9 @@ reduced order-p candidate is bucketed by the loop records of the
 permutation it induces on an invariant prefix code, read off its triples
 with no diagram built by `closed._torsion_records`, the one reader of
 torsion, which `closed.conjugacy_invariant` calls for every element too.
-The key is `closed._torsion_invariant` of the records, and the first
-candidate of each class is the representative it reports.
+The key is `closed._invariant` of the records, the builder of every
+conjugacy invariant, and the first candidate of each class is the
+representative it reports.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closed import _torsion_invariant, _torsion_records
+from .closed import _invariant, _torsion_records
 from .elements import (
     TreePairElement,
     _at_point,
@@ -271,30 +272,25 @@ def _prober(n, dom_addrs, p):
     leaf has its triple goes on where the probe stopped.  A verdict depends
     only on the triples of the leaves the probe reads.  The domain leaf
     above prefix c^pad depends only on (prefix, c); it is found once per
-    prober and kept in a table that lives as long as the prober.  An
+    prober, by `elements._leaf_above` as the oracle's probes find theirs,
+    and kept in a table that lives as long as the prober.  An
     identity label leaves the suffix, the letter and the tail as they are.
     """
     dom = frozenset(dom_addrs)
-    lengths = sorted(set(map(len, dom)))
-    pad = (p + 2) * lengths[-1] + 1
+    pad = (p + 2) * max(map(len, dom)) + 1
     ident = tuple(range(1, n + 1))
     # (prefix, c) -> (the domain leaf above prefix c^pad, the letters of
     # prefix below it, the letters c the leaf takes off c^pad)
     leaf_at = {}
-
-    def leaf_above(prefix, c):
-        for cut in lengths:
-            key = prefix[:cut] if cut <= len(prefix) else prefix + (c,) * (cut - len(prefix))
-            if key in dom:
-                return key, prefix[cut:], max(cut - len(prefix), 0)
-        raise AssertionError("probe reaches no domain leaf")
 
     def probe(triple_by_dom, state):
         a, prefix, c, m, tail, left = state
         while left:
             found = leaf_at.get((prefix, c))
             if found is None:
-                found = leaf_at[prefix, c] = leaf_above(prefix, c)
+                leaf = _leaf_above(dom, prefix, c)
+                found = leaf, prefix[len(leaf):], max(len(leaf) - len(prefix), 0)
+                leaf_at[prefix, c] = found
             leaf, rest, drop = found
             hit = triple_by_dom.get(leaf)
             if hit is None:
@@ -422,8 +418,8 @@ def class_census_experiment(
     is torsion, so its reduced closure is free loops alone, one per cycle of
     the permutation it induces on an invariant prefix code: the census reads
     those records off the triples (`closed._torsion_records`) and keys the
-    element by `closed._torsion_invariant` of them, its
-    `closed.conjugacy_invariant`.  Since p does not divide ord(H), every
+    element by `closed._invariant` of the triples and records, the builder
+    behind `closed.conjugacy_invariant`.  Since p does not divide ord(H), every
     record must be (1, id) or (p, id), and the census asserts so.  An
     element is built only for the first of each class, its
     representative."""
@@ -441,7 +437,7 @@ def class_census_experiment(
                 "order-p element with p coprime to ord(H) has no loop records, "
                 "or a loop record other than (1, id) or (p, id)"
             )
-        key = _torsion_invariant(records, subgroup)
+        key = _invariant(n, subgroup, triple_by_dom, records)
         if key not in classes:
             classes[key] = element_from_triples(n, subgroup, triple_by_dom)
     reps = list(classes.values())

@@ -20,11 +20,13 @@ built for it.  Torsion is decided on the reduced triples by one reader,
 call: a torsion element permutes the words of a finite invariant prefix
 code (`elements._torsion_loop_records`), and its reduced closure is free
 loops alone, refinement equivalent to one record (cycle length, composite
-label) per cycle, so its invariant comes from those records
-(`_torsion_invariant`).  Infinite order is certified by a cone that a power
-of the element maps strictly into itself or onto a larger cone; only then,
-or when the refinement reaches its code-size cap and `_torsion_records`
-falls back on it, is the closure of the same reduced triples built.
+label) per cycle, so its invariant comes from those records.  Infinite
+order is certified by a cone that a power of the element maps strictly
+into itself or onto a larger cone; only then, or when the refinement
+reaches its code-size cap and `_torsion_records` falls back on it, is the
+closure of the same reduced triples built.  One builder, `_invariant`,
+makes every element's invariant from its reduced triples and records:
+`conjugacy_invariant`, `are_conjugate` and the census all call it.
 
 Equality of closed diagrams (`==`, `closed_equal`) is equality of the
 underlying port graph together with that cohomology class, decided by
@@ -76,11 +78,11 @@ from .diagrams import (
     SPLIT,
     DiagramError,
     StrandDiagram,
+    _Diagram,
     _Graph,
-    _join_below,
+    _least_per_component,
     _loop_token,
     _scan_ports,
-    _to_dot,
     _tree_pair_graph,
 )
 from .elements import (
@@ -106,11 +108,12 @@ class FreeLoop:
             raise ValueError("free loop winding must be >= 1")
 
 
-class ClosedDiagram:
+class ClosedDiagram(_Diagram):
     """Pitchfork graph without main sources/sinks, with per-edge winding
     weights positive on every directed loop, plus free-loop records."""
 
-    def __init__(self, graph: _Graph):
+    @staticmethod
+    def _check(graph):
         if not graph.is_closed():
             raise DiagramError("closed diagram cannot have main sources or sinks")
         for kind in graph.kind.values():
@@ -119,8 +122,9 @@ class ClosedDiagram:
         graph.check_ports()
         if not graph.positive_on_loops():
             raise CochainError("winding must be positive on every oriented loop")
-        self._g = graph
-        self._canon = None
+
+    def _canonical_form(self):
+        return self._g.closed_canonical()
 
     @classmethod
     def from_loops(cls, n, loops):
@@ -130,37 +134,13 @@ class ClosedDiagram:
         return cls(g)
 
     @property
-    def n(self):
-        return self._g.n
-
-    @property
     def free_loops(self):
         return tuple(
             FreeLoop(w, lab) for w, lab in sorted(self._g.free_loops, key=_loop_token)
         )
 
-    def counts(self):
-        return self._g.counts()
-
     def has_graph_part(self):
         return bool(self._g.kind)
-
-    def canonical(self):
-        if self._canon is None:
-            s, order = self._g.closed_canonical()
-            self._order = order
-            self._canon = s
-        return self._canon
-
-    def canonical_order(self):
-        self.canonical()
-        return list(self._order)
-
-    def __eq__(self, other):
-        return isinstance(other, ClosedDiagram) and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
 
     def __repr__(self):
         c = self.counts()
@@ -169,9 +149,6 @@ class ClosedDiagram:
             f"ClosedDiagram(n={self.n}, splits={c[SPLIT]}, merges={c[MERGE]}, "
             f"sigmas={c[SIGMA]}, free_loops={loops})"
         )
-
-    def to_dot(self):
-        return _to_dot(self._g, self.canonical_order())
 
 
 def _as_loop(x):
@@ -255,13 +232,14 @@ def add_coboundary(cd: ClosedDiagram, potential) -> ClosedDiagram:
 # the l_i already equal), so gauging commutes with reduction.
 #
 # The canonical form of a component is the least gauge-fixed BFS
-# serialization over every (start vertex, root twist).  Candidates are
-# serialized one after another against the running minimum, and each stops
-# as soon as its ";"-joined prefix sorts above the minimum's prefix of the
-# same length (`diagrams._join_below`).  The bound must be taken on the
-# joined string, not token by token: a weight token "w1" is a prefix of
-# "w12" while ";" sorts after the digits, so the two orders can pick
-# different minima.  Gauges are image tuples, each stored with its inverse.
+# serialization over every (start vertex, root twist), one run per pair
+# drawn by `diagrams._least_per_component`, the search that
+# `_Graph.closed_canonical` runs too.  Each run stops as soon as its
+# ";"-joined prefix sorts above the least so far (`diagrams._join_below`).
+# The bound must be taken on the joined string, not token by token: a
+# weight token "w1" is a prefix of "w12" while ";" sorts after the digits,
+# so the two orders can pick different minima.  Gauges are image tuples,
+# each stored with its inverse.
 
 
 def _skeleton(g):
@@ -347,34 +325,25 @@ def _gauge_tokens(scans, verts, out_at, in_at, start, root):
 
 def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     """Canonical string of the graph part modulo vertex twists over H,
-    coboundaries, and port-graph isomorphism: per component the minimum
-    gauge-fixed BFS serialization over every (start vertex, root twist).
-
-    The minimum is kept as one running string per component; each
-    candidate serialization stops as soon as its ";"-joined prefix sorts
-    above it (`diagrams._join_below`), so the result is the same string as
-    serializing every candidate in full and taking `min`."""
+    coboundaries, and port-graph isomorphism: per component the least
+    gauge-fixed BFS serialization over every (start vertex, root twist),
+    found by `diagrams._least_per_component`, which stops each candidate
+    as soon as its ";"-joined prefix sorts above the least so far, so the
+    result is the same string as serializing every candidate in full and
+    taking `min`."""
     g = cd._g
     verts, out_at, in_at = _skeleton(g)
-    if not verts:
-        return ""
     roots = [(h.images, h.inverse().images) for h in sorted(subgroup.elements)]
     scans = {kind: _scan_ports(kind, g.n) for kind in (SPLIT, MERGE)}
-    comp_strs = []
-    for comp in g.components():
+
+    def runs(comp):
         # A component holds its splits and merges, joined by sigma chains;
-        # a cycle of sigma-vertices alone has no skeleton.
-        starts = sorted(v for v in comp if v in verts)
-        if not starts:
-            continue
-        best = None
-        for start in starts:
+        # a cycle of sigma-vertices alone has no skeleton, so no run.
+        for start in sorted(v for v in comp if v in verts):
             for root in roots:
-                s = _join_below(_gauge_tokens(scans, verts, out_at, in_at, start, root), best)
-                if s is not None:
-                    best = s
-        comp_strs.append(best)
-    return "#".join(sorted(comp_strs))
+                yield _gauge_tokens(scans, verts, out_at, in_at, start, root), None
+
+    return "#".join(s for s, _ in _least_per_component(g, runs))
 
 
 # -- free-loop record equivalence ------------------------------------------
@@ -505,13 +474,6 @@ def _torsion_records(n, reduced):
     return records if isinstance(records, list) else None
 
 
-def _torsion_invariant(records, subgroup: Subgroup):
-    """The conjugacy invariant of a torsion element from its loop records:
-    its reduced closure is free loops alone, refinement equivalent to the
-    records, and `gauge_canonical` of a closure with no graph part is ""."""
-    return "", _loop_class(records, subgroup)
-
-
 def _reduced_and_records(g: TreePairElement):
     """g's reduced triples and `_torsion_records` of them: the records of a
     torsion element, None for one of infinite order."""
@@ -519,41 +481,46 @@ def _reduced_and_records(g: TreePairElement):
     return reduced, _torsion_records(g.n, reduced)
 
 
+def _invariant(n, subgroup: Subgroup, reduced, records):
+    """The conjugacy invariant of the element whose reduced triples are
+    `reduced` and whose `_torsion_records` are `records`.  A torsion
+    element's reduced closure is free loops alone, refinement equivalent to
+    its records, and `gauge_canonical` of a closure with no graph part is
+    "", so its invariant is "" and the class of the records, with no
+    closure built.  Any other element takes `closure_invariant` of the
+    closure of the same reduced triples."""
+    if records is not None:
+        return "", _loop_class(records, subgroup)
+    return closure_invariant(_closure_of_reduced(n, reduced), subgroup)
+
+
 def conjugacy_invariant(g: TreePairElement):
     """Hashable complete invariant: two elements are conjugate iff their
     invariants are equal.
 
-    Torsion status is read first (`_torsion_records`): a torsion element's
-    invariant comes from its loop records (`_torsion_invariant`), with no
-    closure built for it, and its first part is "", which no element of
-    infinite order has.  Any other element takes the closure of the same
-    reduced triples.  An element the records leave undecided, and that has
-    infinite order, has its closure built twice, once by
-    `_torsion_records`: no element of the bench corpora has been
+    Torsion status is read first (`_torsion_records`), and `_invariant`
+    builds the invariant: its first part is "" for a torsion element, which
+    no element of infinite order has.  An element the records leave
+    undecided, and that has infinite order, has its closure built twice,
+    once by `_torsion_records`: no element of the bench corpora has been
     undecided, so the simple shape is kept."""
-    reduced, records = _reduced_and_records(g)
-    if records is not None:
-        return _torsion_invariant(records, g.subgroup)
-    return closure_invariant(_closure_of_reduced(g.n, reduced), g.subgroup)
+    return _invariant(g.n, g.subgroup, *_reduced_and_records(g))
 
 
 def are_conjugate(f: TreePairElement, g: TreePairElement) -> bool:
     """Conjugacy in V_n(H), the verdict `conjugacy_invariant(f) ==
     conjugacy_invariant(g)` decided in stages.  Torsion status is compared
     first: when exactly one of f, g is torsion they are not conjugate, and
-    no closure is built.  Two torsion elements compare the invariants of
-    their loop records; only two elements of infinite order build their
-    reduced closures and compare `closure_invariant`."""
+    no closure is built.  Otherwise their `_invariant`s are compared: two
+    torsion elements compare the classes of their loop records, and only
+    two elements of infinite order build their reduced closures."""
     _check_compatible(f, g)
     f_reduced, f_records = _reduced_and_records(f)
     g_reduced, g_records = _reduced_and_records(g)
     if (f_records is None) != (g_records is None):
         return False
     n, h = f.n, f.subgroup
-    if f_records is not None:
-        return _torsion_invariant(f_records, h) == _torsion_invariant(g_records, h)
-    f_closure, g_closure = _closure_of_reduced(n, f_reduced), _closure_of_reduced(n, g_reduced)
-    return closure_invariant(f_closure, h) == closure_invariant(g_closure, h)
+    return _invariant(n, h, f_reduced, f_records) == _invariant(n, h, g_reduced, g_records)
 
 
 def is_torsion(g: TreePairElement) -> bool:

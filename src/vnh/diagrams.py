@@ -19,10 +19,17 @@ they were the same edge; with a label they meet at one new sigma-vertex
 instead.  Concatenation, closure (`_Graph.glue`) and every rewrite rule
 join strands this way.
 
-Equality is decided by canonical serialization: breadth-first traversal
-seeded at the ordered sources (or, for source-free graphs, minimized over
-all start vertices per component), visiting ports in a fixed per-kind
-order and emitting kind/label/port tokens.
+Both diagram kinds, `StrandDiagram` here and `closed.ClosedDiagram`, are
+one shell, `_Diagram`, around a graph; each kind adds its validity check
+and its canonical form.  Equality holds between two diagrams of the same
+kind with the same canonical string, a breadth-first serialization
+visiting ports in a fixed per-kind order and emitting kind/label/port
+tokens.  It is invariant under vertex and edge ids and, on closed graphs,
+under winding up to coboundary (weights are normalized to zero on the
+BFS tree).  An open diagram's traversal is seeded at its ordered sources;
+a closed graph's is the least over all start vertices per component,
+found by the one least-serialization search, `_least_per_component`,
+which `closed.gauge_canonical` runs too.
 """
 
 from __future__ import annotations
@@ -331,25 +338,18 @@ class _Graph:
 
     def closed_canonical(self):
         """Canonical (string, vertex order) for a source-free graph: per
-        component the minimum BFS serialization over all start vertices,
-        with winding weights normalized to zero on the BFS tree.  Each
-        serialization stops once it sorts above the running minimum
-        (`_join_below`); a tie keeps the earlier start's order."""
-        results = []
-        for comp in self.components():
-            best = None
+        component the least BFS serialization over all start vertices
+        (`_least_per_component`), with winding weights normalized to zero
+        on the BFS tree; a tie keeps the earlier start's order."""
+
+        def runs(comp):
             for start in sorted(comp):
                 order = []
-                bound = None if best is None else best[0]
-                s = _join_below(self._canon_tokens([start], order), bound)
-                if s is not None:
-                    best = (s, order)
-            results.append(best)
-        results.sort(key=lambda t: t[0])
-        strings = [t[0] for t in results]
-        order = [v for t in results for v in t[1]]
+                yield self._canon_tokens([start], order), order
+
+        results = _least_per_component(self, runs)
         loops = ",".join(sorted(_loop_token(r) for r in self.free_loops))
-        return "#".join(strings) + "||" + loops, order
+        return "#".join(s for s, _ in results) + "||" + loops, [v for _, o in results for v in o]
 
     def positive_on_loops(self):
         """True iff every directed cycle has total weight >= 1 (records too).
@@ -406,15 +406,117 @@ def _join_below(tokens, best):
     return ";".join(out)
 
 
+def _least_per_component(g, runs):
+    """The least serialization of each component of g that has a run, as
+    (string, tag) pairs sorted by string.  `runs(comp)` yields the
+    (tokens, tag) runs of a component; each is drawn against the running
+    minimum by `_join_below`, so it stops once it sorts above it, and a tie
+    keeps the earlier run's tag."""
+    results = []
+    for comp in g.components():
+        best = None
+        for tokens, tag in runs(comp):
+            s = _join_below(tokens, best)
+            if s is not None:
+                best, best_tag = s, tag
+        if best is not None:
+            results.append((best, best_tag))
+    results.sort(key=lambda t: t[0])
+    return results
+
+
 def _loop_token(record):
     winding, label = record
     return f"L{winding}:{label.images}"
 
 
-class StrandDiagram:
-    """Immutable (p,q,n)-strand diagram. Do not mutate after construction."""
+class _Diagram:
+    """Immutable diagram over a port graph `_g`, the shell of `StrandDiagram`
+    and `closed.ClosedDiagram`.  A subclass supplies `_check(graph)`, which
+    raises on an invalid graph, and `_canonical_form()`, its canonical
+    (string, vertex order); the shell caches that pair.  Do not mutate the
+    graph after construction."""
 
     def __init__(self, graph: _Graph):
+        self._check(graph)
+        self._g, self._canon = graph, None
+
+    @classmethod
+    def _trusted(cls, graph: _Graph):
+        """Diagram from a graph already known to be valid (built from a tree
+        pair, glued or rewritten from valid diagrams), without `_check`."""
+        d = object.__new__(cls)
+        d._g, d._canon = graph, None
+        return d
+
+    @property
+    def n(self):
+        return self._g.n
+
+    def counts(self):
+        return self._g.counts()
+
+    def canonical(self):
+        if self._canon is None:
+            self._canon = self._canonical_form()
+        return self._canon[0]
+
+    def canonical_order(self):
+        self.canonical()
+        return list(self._canon[1])
+
+    def __eq__(self, other):
+        """Same kind and same canonical string: port-, kind- and
+        label-preserving isomorphism, invariant under vertex and edge ids
+        and, on closed graphs, under winding up to coboundary."""
+        return type(other) is type(self) and self.canonical() == other.canonical()
+
+    def __hash__(self):
+        return hash(self.canonical())
+
+    def to_dot(self):
+        """DOT text with vertices numbered in canonical order; a closed
+        graph's edges show their weights, and its free loops are drawn as
+        nodes."""
+        g, order = self._g, self.canonical_order()
+        names = {}
+        prefix = {SOURCE: "src", SINK: "snk", SPLIT: "s", MERGE: "m", SIGMA: "g"}
+        lines = ["digraph strand {"]
+        for idx, vid in enumerate(order):
+            kind = g.kind[vid]
+            names[vid] = f"{prefix[kind]}{idx}"
+            if kind == SIGMA:
+                lab = list(g.label[vid].images)
+                lines.append(f'  {names[vid]} [shape=circle, label="{lab}"];')
+            elif kind in (SPLIT, MERGE):
+                lines.append(f"  {names[vid]} [shape=point];")
+            else:
+                lines.append(f'  {names[vid]} [shape=plaintext, label="{names[vid]}"];')
+        pos = {vid: i for i, vid in enumerate(order)}
+        edge_rows = sorted(
+            g.edges.values(), key=lambda rec: (pos[rec[0]], rec[1], pos[rec[2]], rec[3])
+        )
+        for tail, tport, head, hport, w in edge_rows:
+            attrs = [f'taillabel="{tport}"', f'headlabel="{hport}"']
+            if g.is_closed():
+                attrs.append(f'label="w={w}"')
+            lines.append(f"  {names[tail]} -> {names[head]} [{', '.join(attrs)}];")
+        for i, (winding, label) in enumerate(sorted(g.free_loops, key=_loop_token)):
+            name = f"loop{i}"
+            lines.append(
+                f'  {name} [shape=ellipse, label="winding={winding}, label={list(label.images)}"];'
+            )
+            lines.append(f"  {name} -> {name};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+class StrandDiagram(_Diagram):
+    """Immutable (p,q,n)-strand diagram: acyclic, with main sources and
+    sinks and no free loops."""
+
+    @staticmethod
+    def _check(graph):
         graph.check_ports()
         if graph.free_loops:
             raise DiagramError("open strand diagram cannot carry free loops")
@@ -423,22 +525,14 @@ class StrandDiagram:
         c = graph.counts()
         if (c[SINK] - c[SOURCE]) != (graph.n - 1) * (c[SPLIT] - c[MERGE]):
             raise DiagramError("split/merge count identity violated")
-        self._g = graph
-        self._canon = None
 
-    @classmethod
-    def _trusted(cls, graph: _Graph) -> "StrandDiagram":
-        """Diagram from a graph already known to be valid (built from a tree
-        pair, glued or rewritten from valid diagrams), without the checks in
-        ``__init__``."""
-        d = object.__new__(cls)
-        d._g = graph
-        d._canon = None
-        return d
-
-    @property
-    def n(self):
-        return self._g.n
+    def _canonical_form(self):
+        g = self._g
+        s, order = g.canon_from(g.sources)
+        if len(order) != len(g.kind):
+            raise DiagramError("diagram has a component with no main source")
+        sink_token = ",".join(str(order.index(v)) for v in g.sinks)
+        return f"p{self.p}|{s}|snk:{sink_token}", order
 
     @property
     def p(self):
@@ -448,29 +542,6 @@ class StrandDiagram:
     def q(self):
         return len(self._g.sinks)
 
-    def counts(self):
-        return self._g.counts()
-
-    def canonical(self):
-        if self._canon is None:
-            s, order = self._g.canon_from(self._g.sources)
-            if len(order) != len(self._g.kind):
-                raise DiagramError("diagram has a component with no main source")
-            sink_token = ",".join(str(order.index(v)) for v in self._g.sinks)
-            self._canon = f"p{self.p}|{s}|snk:{sink_token}"
-            self._order = order
-        return self._canon
-
-    def canonical_order(self):
-        self.canonical()
-        return list(self._order)
-
-    def __eq__(self, other):
-        return isinstance(other, StrandDiagram) and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
     def __repr__(self):
         c = self.counts()
         return (
@@ -478,48 +549,10 @@ class StrandDiagram:
             f"splits={c[SPLIT]}, merges={c[MERGE]}, sigmas={c[SIGMA]})"
         )
 
-    def to_dot(self):
-        return _to_dot(self._g, self.canonical_order())
-
 
 def diagram_equal(d1, d2) -> bool:
     """Port-, kind-, label- and source/sink-order-preserving isomorphism."""
     return d1 == d2
-
-
-def _to_dot(g, order):
-    """DOT text of g with vertices numbered in `order`; a closed graph's
-    edges show their weights, and its free loops are drawn as nodes."""
-    names = {}
-    prefix = {SOURCE: "src", SINK: "snk", SPLIT: "s", MERGE: "m", SIGMA: "g"}
-    lines = ["digraph strand {"]
-    for idx, vid in enumerate(order):
-        kind = g.kind[vid]
-        names[vid] = f"{prefix[kind]}{idx}"
-        if kind == SIGMA:
-            lab = list(g.label[vid].images)
-            lines.append(f'  {names[vid]} [shape=circle, label="{lab}"];')
-        elif kind in (SPLIT, MERGE):
-            lines.append(f"  {names[vid]} [shape=point];")
-        else:
-            lines.append(f'  {names[vid]} [shape=plaintext, label="{names[vid]}"];')
-    pos = {vid: i for i, vid in enumerate(order)}
-    edge_rows = sorted(
-        g.edges.values(), key=lambda rec: (pos[rec[0]], rec[1], pos[rec[2]], rec[3])
-    )
-    for tail, tport, head, hport, w in edge_rows:
-        attrs = [f'taillabel="{tport}"', f'headlabel="{hport}"']
-        if g.is_closed():
-            attrs.append(f'label="w={w}"')
-        lines.append(f"  {names[tail]} -> {names[head]} [{', '.join(attrs)}];")
-    for i, (winding, label) in enumerate(sorted(g.free_loops, key=_loop_token)):
-        name = f"loop{i}"
-        lines.append(
-            f'  {name} [shape=ellipse, label="winding={winding}, label={list(label.images)}"];'
-        )
-        lines.append(f"  {name} -> {name};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # -- tree pair <-> diagram ------------------------------------------------

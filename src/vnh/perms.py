@@ -67,7 +67,11 @@ class Perm:
         return k
 
     def act_word(self, word):
-        """Apply letter-wise to a word over {1..n}."""
+        """Apply letter-wise to a word over {1..n}; a letter outside 1..n
+        raises ValueError."""
+        for c in word:
+            if not 1 <= c <= self.n:
+                raise ValueError(f"letter {c} is not in 1..{self.n}")
         return tuple(self.images[c - 1] for c in word)
 
     def orbits(self):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from vnh.closed import add_coboundary, close
 from vnh.diagrams import (
     SIGMA,
     SINK,
@@ -321,3 +322,49 @@ def test_trusted_diagrams_are_valid(rng, group):
             d._g.check_ports()
             assert d._g.is_acyclic()
             assert StrandDiagram(d._g) == d
+
+
+# -- the diagram shell shared by StrandDiagram and ClosedDiagram -------------
+
+
+def _strand_and_closed(rng, group):
+    """A random (1,1,n) diagram and its closure, rebuilt twice each."""
+    n, h = group
+    g = reduce_element(random_element(n, h, rng))
+    strands = build_diagram(g), build_diagram(g)
+    return [strands, (close(strands[0]), close(strands[1]))]
+
+
+def test_strand_and_closed_diagrams_are_never_equal(rng, group):
+    for _ in range(5):
+        (d, _), (cd, _) = _strand_and_closed(rng, group)
+        assert d != cd and cd != d
+        # Equality compares kinds before strings: a strand diagram that
+        # reports the closure's canonical string is still not equal to it.
+        twin = StrandDiagram._trusted(d._g)
+        twin.canonical = cd.canonical
+        assert twin.canonical() == cd.canonical()
+        assert twin != cd and cd != twin
+
+
+def test_canonical_order_is_a_fresh_list(rng, group):
+    for pair in _strand_and_closed(rng, group):
+        d = pair[0]
+        dot, order = d.to_dot(), d.canonical_order()
+        mutated = d.canonical_order()
+        mutated.reverse()
+        mutated.append(-1)
+        assert d.canonical_order() == order
+        assert d.to_dot() == dot
+
+
+def test_equal_diagrams_hash_equal(rng, group):
+    for _ in range(5):
+        pairs = _strand_and_closed(rng, group)
+        for d1, d2 in pairs:
+            assert d1 is not d2 and d1 == d2
+            assert hash(d1) == hash(d2)
+        # A coboundary shift changes edge weights but not the winding class.
+        cd = pairs[1][0]
+        shifted = add_coboundary(cd, {v: rng.randrange(-3, 4) for v in cd._g.kind})
+        assert shifted == cd and hash(shifted) == hash(cd)

@@ -98,6 +98,17 @@ def test_eval_prefix_finds_the_domain_leaf_above_a_word():
         eval_prefix(g, (2,))
 
 
+def test_eval_prefix_rejects_letters_outside_the_alphabet():
+    # The 1-leaf swap: every word lies below its one leaf, so each letter
+    # reaches the label.  Letter 0 must not read the label's last image.
+    s = Perm((2, 1))
+    g = TreePairElement(2, Subgroup.symmetric(2), LEAF, LEAF, (1,), (s,))
+    assert eval_prefix(g, (1, 2)) == ((2, 1), s)
+    for word, bad in (((0, 1), 0), ((3,), 3)):
+        with pytest.raises(ValueError, match=f"letter {bad} "):
+            eval_prefix(g, word)
+
+
 def test_eval_bijective_on_deep_words(rng, group):
     # The images of all depth-d branches form a complete pairwise
     # independent branch set: g permutes the Cantor set.

@@ -64,3 +64,10 @@ def test_subgroup_conjugacy_classes():
     c = Subgroup.cyclic(3)
     assert not c.are_conjugate(cyc, cyc * cyc)
     assert c.class_rep(cyc) == cyc
+
+
+def test_act_word_rejects_letters_outside_1_to_n():
+    p = Perm((2, 1))
+    for word, bad in (((0, 1), 0), ((3,), 3), ((1, -1), -1)):
+        with pytest.raises(ValueError, match=f"letter {bad} "):
+            p.act_word(word)
