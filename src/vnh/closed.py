@@ -63,7 +63,11 @@ multisets a, b are equivalent iff they have the same support closure S
 (finite: the descendants of (w, s) are (w*m, [s^m]) with m | ord(s)) and
 a - b lies in the integer span of {D_v : v in S}; `_loop_class` decides
 this exactly, with no search bound.  The gauge quotient is canonicalized
-exactly by nonabelian spanning-tree gauge fixing.  The oracle cross-check
+exactly by nonabelian spanning-tree gauge fixing, taking per component the
+least serialization over every (start vertex, root twist): the root twists
+of a start are drawn in lockstep, and a start in the orbit of one already
+tried under the gauge automorphisms found so far is skipped, which is exact
+(`gauge_canonical` derives why).  The oracle cross-check
 in the census module guards these readings empirically.
 """
 
@@ -234,12 +238,11 @@ def add_coboundary(cd: ClosedDiagram, potential) -> ClosedDiagram:
 # The canonical form of a component is the least gauge-fixed BFS
 # serialization over every (start vertex, root twist), one run per pair
 # drawn by `diagrams._least_per_component`, the search that
-# `_Graph.closed_canonical` runs too.  Each run stops as soon as its
-# ";"-joined prefix sorts above the least so far (`diagrams._join_below`).
-# The bound must be taken on the joined string, not token by token: a
-# weight token "w1" is a prefix of "w12" while ";" sorts after the digits,
-# so the two orders can pick different minima.  Gauges are image tuples,
-# each stored with its inverse.
+# `_Graph.closed_canonical` runs too.  It compares the runs piece by piece,
+# a piece being a token and ";": the order must be that of the joined
+# strings, not of the token lists, since a weight token "w1" is a prefix of
+# "w12" while ";" sorts after the digits.  Gauges are image tuples, each
+# stored with its inverse.
 
 
 def _skeleton(g):
@@ -273,24 +276,30 @@ def _skeleton(g):
     return verts, out_at, in_at
 
 
-def _gauge_tokens(scans, verts, out_at, in_at, start, root):
-    """Tokens of the gauge-fixed BFS serialization of start's component,
-    the root twisted by `root` = (images, inverse images): each vertex
-    reached gets the gauge that makes its BFS tree edge's label the
-    identity, and edge weights are normalized to zero on the BFS tree.
-    `scans` maps SPLIT and MERGE to their port order (`_scan_ports`)."""
+def _gauge_pieces(scans, verts, out_at, in_at, labels, start, root, order):
+    """Pieces of the gauge-fixed BFS serialization of start's component,
+    the root twisted by `root` = (images, inverse images): its tokens, each
+    followed by ";" but the last.  Each vertex reached gets the gauge that
+    makes its BFS tree edge's label the identity, and edge weights are
+    normalized to zero on the BFS tree; the vertices are appended to
+    `order` as they are numbered.  `scans` maps SPLIT and MERGE to their
+    port order (`_scan_ports`), and `labels` maps a label's image tuple to
+    its string (`Subgroup._label_strings`)."""
     gauge = {start: root}
     phi = {start: 0}
     num = {start: 0}
-    order = [start]
+    order.append(start)
     qi = 0
     while qi < len(order):
         v = order[qi]
         qi += 1
         gv, gv_inv = gauge[v]
         kind = verts[v]
-        yield kind[0]
-        for d, p in scans[kind]:
+        yield kind[0] + ";"
+        scan = scans[kind]
+        last = scan[-1]
+        for port in scan:
+            d, p = port
             pre = p if p == 0 else gv_inv[p - 1]
             tail, tport, head, hport, lab, lab_inv, w = (
                 out_at[(v, pre)] if d == "o" else in_at[(v, pre)]
@@ -320,30 +329,60 @@ def _gauge_tokens(scans, verts, out_at, in_at, start, root):
             nw = w + phi[tail] - phi[head]
             pt = tport if tport == 0 else g_tail[tport - 1]
             ph = hport if hport == 0 else g_head[hport - 1]
-            yield f"{d}{p}>{num[peer]}:{pt}.{ph}:{gl}w{nw}"
+            # A label outside H has no stored string; it formats as its tuple.
+            piece = f"{d}{p}>{num[peer]}:{pt}.{ph}:{labels.get(gl) or gl}w{nw};"
+            yield piece[:-1] if port is last and qi == len(order) else piece
 
 
 def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     """Canonical string of the graph part modulo vertex twists over H,
     coboundaries, and port-graph isomorphism: per component the least
-    gauge-fixed BFS serialization over every (start vertex, root twist),
-    found by `diagrams._least_per_component`, which stops each candidate
-    as soon as its ";"-joined prefix sorts above the least so far, so the
-    result is the same string as serializing every candidate in full and
-    taking `min`."""
+    gauge-fixed BFS serialization over every (start vertex, root twist h),
+    found by `diagrams._least_per_component`.  It draws the |H| runs of one
+    start together, each stopping at its first piece above the least so
+    far, so the string is the one that serializing every pair in full and
+    taking `min` gives.
+
+    It also skips starts in the orbit of a start already tried, and here
+    the tie behind each automorphism is a gauge-fixed one.  Write S(s, h)
+    for the serialization from start s with root twist h, and gamma for the
+    gauges its BFS assigns (gamma(s) = h).  S reads the skeleton twisted by
+    gamma: ports at v relabelled by gamma(v), edge labels l from t to u
+    replaced by gamma(u) l gamma(t)^-1.  So S(a, h1) = S(b, h2), with gauges
+    gamma1 and gamma2 and sigma the map between the vertex orders, says
+    that the skeleton twisted by alpha(v) = gamma2(sigma v)^-1 gamma1(v) and
+    moved by sigma is the skeleton again, up to coboundary: (sigma, alpha)
+    is a gauge automorphism.  Running the BFS from (s, h) through it, step
+    by step, is the BFS from (sigma s, h alpha(s)^-1): each port scanned,
+    each tree label made the identity and each normalized weight agrees.
+    Hence S(s, h) = S(sigma s, h alpha(s)^-1) for every s and h, and as h
+    runs over H so does h alpha(s)^-1: every start in an orbit of the
+    vertex maps sigma has the same set of strings over its root twists.
+    Composites of gauge automorphisms are gauge automorphisms, so this holds
+    for the orbits of the group the maps found generate, which is what
+    `_least_per_component` needs to skip a start."""
     g = cd._g
     verts, out_at, in_at = _skeleton(g)
-    roots = [(h.images, h.inverse().images) for h in sorted(subgroup.elements)]
+    roots, labels = subgroup._roots, subgroup._label_strings
     scans = {kind: _scan_ports(kind, g.n) for kind in (SPLIT, MERGE)}
 
-    def runs(comp):
+    def starts(comp):
         # A component holds its splits and merges, joined by sigma chains;
-        # a cycle of sigma-vertices alone has no skeleton, so no run.
-        for start in sorted(v for v in comp if v in verts):
-            for root in roots:
-                yield _gauge_tokens(scans, verts, out_at, in_at, start, root), None
+        # a cycle of sigma-vertices alone has no skeleton, so no start.
+        # For n >= 2, counting ports, a closed component has as many merges
+        # as splits, and a run from a merge ("m;...") sorts below any run
+        # from a split.
+        merges = sorted(v for v in comp if verts.get(v) == MERGE)
+        return merges or sorted(v for v in comp if v in verts)
 
-    return "#".join(s for s, _ in _least_per_component(g, runs))
+    def runs(start):
+        orders = [[] for _ in roots]
+        return [
+            (_gauge_pieces(scans, verts, out_at, in_at, labels, start, root, order), order)
+            for root, order in zip(roots, orders)
+        ]
+
+    return "#".join(s for s, _ in _least_per_component(g, starts, runs))
 
 
 # -- free-loop record equivalence ------------------------------------------

@@ -29,7 +29,11 @@ under winding up to coboundary (weights are normalized to zero on the
 BFS tree).  An open diagram's traversal is seeded at its ordered sources;
 a closed graph's is the least over all start vertices per component,
 found by the one least-serialization search, `_least_per_component`,
-which `closed.gauge_canonical` runs too.
+which `closed.gauge_canonical` runs too.  It draws the runs of one start
+together, token by token, keeping only those whose prefix is least
+(`_lockstep`), and skips each start in the orbit of one already tried
+under the automorphisms that full ties reveal (`_Orbits`); both steps
+leave the result that of serializing every run in full.
 """
 
 from __future__ import annotations
@@ -305,12 +309,14 @@ class _Graph:
     def canon_from(self, seeds):
         """BFS canonical string and vertex order from ordered seed vertices."""
         order = []
-        return ";".join(self._canon_tokens(seeds, order)), order
+        return "".join(self._canon_pieces(seeds, order)), order
 
-    def _canon_tokens(self, seeds, order):
-        """Tokens of the BFS canonical string from ordered seed vertices,
-        appending each vertex to `order` as it is numbered; a closed graph's
-        edge tokens carry their weights, normalized to zero on the BFS tree."""
+    def _canon_pieces(self, seeds, order):
+        """Pieces of the BFS canonical string from ordered seed vertices:
+        its tokens, each followed by ";" but the last, so that the string is
+        their concatenation.  Each vertex is appended to `order` as it is
+        numbered; a closed graph's edge tokens carry their weights,
+        normalized to zero on the BFS tree."""
         closed = self.is_closed()
         num, phi = {}, {}
         for s in seeds:
@@ -324,8 +330,11 @@ class _Graph:
             qi += 1
             kind = self.kind[v]
             lab = self.label.get(v)
-            yield _KIND_CHAR[kind] + ("" if lab is None else str(lab.images))
-            for d, p in _scan_ports(kind, self.n):
+            yield _KIND_CHAR[kind] + ("" if lab is None else str(lab.images)) + ";"
+            ports = _scan_ports(kind, self.n)
+            last = ports[-1]
+            for port in ports:
+                d, p = port
                 eid = self.in_at[(v, p)] if d == "i" else self.out_at[(v, p)]
                 tail, tport, head, hport, w = self.edges[eid]
                 peer, peerport = (head, hport) if d == "o" else (tail, tport)
@@ -333,21 +342,24 @@ class _Graph:
                     num[peer] = len(num)
                     order.append(peer)
                     phi[peer] = phi[v] + w if d == "o" else phi[v] - w
-                tok = f"{d}{p}>{num[peer]}.{peerport}"
-                yield f"{tok}w{w + phi[tail] - phi[head]}" if closed else tok
+                if closed:
+                    piece = f"{d}{p}>{num[peer]}.{peerport}w{w + phi[tail] - phi[head]};"
+                else:
+                    piece = f"{d}{p}>{num[peer]}.{peerport};"
+                yield piece[:-1] if port is last and qi == len(order) else piece
 
     def closed_canonical(self):
         """Canonical (string, vertex order) for a source-free graph: per
         component the least BFS serialization over all start vertices
-        (`_least_per_component`), with winding weights normalized to zero
-        on the BFS tree; a tie keeps the earlier start's order."""
+        (`_least_per_component`, one run per start), with winding weights
+        normalized to zero on the BFS tree; a tie keeps the earlier start's
+        order."""
 
-        def runs(comp):
-            for start in sorted(comp):
-                order = []
-                yield self._canon_tokens([start], order), order
+        def runs(start):
+            order = []
+            return [(self._canon_pieces([start], order), order)]
 
-        results = _least_per_component(self, runs)
+        results = _least_per_component(self, sorted, runs)
         loops = ",".join(sorted(_loop_token(r) for r in self.free_loops))
         return "#".join(s for s, _ in results) + "||" + loops, [v for _, o in results for v in o]
 
@@ -376,51 +388,125 @@ class _Graph:
         return not any(dist[u] + w < dist[v] for u, v, w in arcs)
 
 
-def _join_below(tokens, best):
-    """``";".join(tokens)`` if it sorts strictly below ``best`` (always when
-    ``best`` is None), else None.
+def _lockstep(runs, best):
+    """Draw `runs`, a list of (pieces, tag) pairs, one piece at a time
+    together against `best`, the pieces of the least string so far or None,
+    keeping after each piece only the runs whose prefix is the least one.
 
-    Each piece (the token, preceded by ";" after the first) is compared with
-    the slice of ``best`` at the same offset, and no further token is drawn
-    once the join so far sorts above ``best``.  The order is that of the
-    joined strings, not of the token sequences: "w1" is a prefix of "w12",
-    yet "w12" < "w1;..." because ";" sorts after the digits.
-    """
-    if best is None:
-        return ";".join(tokens)
-    out = []
-    pos = 0
-    tied = True
-    for tok in tokens:
-        if tied:
-            piece = ";" + tok if out else tok
-            if best.startswith(piece, pos):
-                pos += len(piece)
-            elif piece > best[pos : pos + len(piece)]:
-                return None
-            else:
-                tied = False
-        out.append(tok)
-    if tied and pos == len(best):
-        return None
-    return ";".join(out)
+    Returns (pieces, survivors, tied): the survivors are the runs, in their
+    order, that drew the least string in full and `pieces` are its pieces;
+    `tied` says that string equals `best`.  When every run sorts above
+    `best`, survivors is empty.
+
+    Comparing piece by piece gives the order of the joined strings.  A
+    piece is a token and ";", or the last token bare, and no token holds a
+    ";".  So a non-last piece is a prefix of no other piece, and two
+    prefixes that are equal so far end at the same place in the two
+    strings.  Equal pieces are both last or both not, so the survivors stop
+    together.  This holds for runs of unequal lengths too; the runs of one
+    component of a graph all have the same length, as every breadth-first
+    serialization of it reaches every vertex and emits one token per
+    vertex and one per port.  A lone run that nothing can tie any more is
+    drawn to its end without comparisons."""
+    live, drawn, rival = runs, [], best
+    while len(live) > 1:
+        pieces = [next(it) for it, _ in live]
+        least = min(pieces)
+        if rival is not None:
+            other = rival[len(drawn)]
+            if other < least:
+                return None, [], False
+            if least < other:
+                rival = None
+        live = [run for run, piece in zip(live, pieces) if piece == least]
+        drawn.append(least)
+        if least[-1] != ";":
+            return drawn, live, rival is not None
+    it = live[0][0]
+    if rival is not None:
+        for piece in it:
+            other = rival[len(drawn)]
+            drawn.append(piece)
+            if piece != other:
+                if other < piece:
+                    return None, [], False
+                break
+        else:
+            return drawn, live, True
+    drawn.extend(it)
+    return drawn, live, False
 
 
-def _least_per_component(g, runs):
-    """The least serialization of each component of g that has a run, as
-    (string, tag) pairs sorted by string.  `runs(comp)` yields the
-    (tokens, tag) runs of a component; each is drawn against the running
-    minimum by `_join_below`, so it stops once it sorts above it, and a tie
-    keeps the earlier run's tag."""
+class _Orbits:
+    """Union-find over vertices: the orbits of the automorphisms found so
+    far, and the roots of those orbits that hold a start already tried."""
+
+    __slots__ = ("parent", "tried")
+
+    def __init__(self):
+        self.parent = {}
+        self.tried = set()
+
+    def find(self, v):
+        parent = self.parent
+        root = v
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def merge(self, order, image):
+        """Merge each vertex of `order` with the vertex at the same place
+        in `image`: the automorphism two tied serializations give."""
+        for a, b in zip(order, image):
+            ra, rb = self.find(a), self.find(b)
+            if ra != rb:
+                self.parent[rb] = ra
+                if rb in self.tried:
+                    self.tried.discard(rb)
+                    self.tried.add(ra)
+
+
+def _least_per_component(g, starts, runs):
+    """The least serialization of each component of g that has a start, as
+    (string, vertex order) pairs sorted by string; a tie keeps the earlier
+    run's order.
+
+    `starts(comp)` lists a component's start vertices in increasing order,
+    and `runs(start)` returns the runs from one start, a list of (pieces,
+    order) pairs: `order` fills with the vertices in the order the pieces
+    number them.  The starts are taken in turn, and the runs of one start
+    are drawn together against the least string so far (`_lockstep`), so
+    each run stops at the first piece that sorts above it.
+
+    A run that ties the least string in full gives an automorphism: equal
+    serializations describe the same numbered graph, so mapping each vertex
+    of the one vertex order to the vertex at the same place in the other
+    preserves everything the serialization encodes.  Every start vertex
+    then draws the same serializations as its image, so every start in the
+    orbit of a start already tried, under the group the automorphisms found
+    generate, draws only strings already drawn.  Such starts come later, so
+    they could at best tie, and a tie keeps the earlier order: skipping them
+    (`_Orbits`) leaves the result what a run over every start gives.  The
+    callers' docstrings say what the serializations encode."""
     results = []
     for comp in g.components():
-        best = None
-        for tokens, tag in runs(comp):
-            s = _join_below(tokens, best)
-            if s is not None:
-                best, best_tag = s, tag
+        best = best_order = None
+        orbits = _Orbits()
+        for start in starts(comp):
+            if orbits.find(start) in orbits.tried:
+                continue
+            drawn, live, tied = _lockstep(runs(start), best)
+            if live:
+                if not tied:
+                    best, best_order = drawn, live[0][1]
+                    live = live[1:]
+                for _, order in live:
+                    orbits.merge(best_order, order)
+            orbits.tried.add(orbits.find(start))
         if best is not None:
-            results.append((best, best_tag))
+            results.append(("".join(best), best_order))
     results.sort(key=lambda t: t[0])
     return results
 

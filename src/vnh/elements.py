@@ -192,9 +192,14 @@ def eval_prefix(g: TreePairElement, word):
 
     Returns (image word, residual tail permutation); word must reach at
     least one domain leaf.  The domain leaf above the branch is the
-    shortest prefix of word among the keys of the triples.
+    shortest prefix of word among the keys of the triples.  A letter
+    outside 1..n raises ValueError naming it, above the domain leaf as
+    well as below it.
     """
     word = tuple(word)
+    for c in word:
+        if not 1 <= c <= g.n:
+            raise ValueError(f"letter {c} is not in 1..{g.n}")
     triple_by_dom = g.triples()
     for cut in range(len(word) + 1):
         hit = triple_by_dom.get(word[:cut])

@@ -135,8 +135,10 @@ class Subgroup:
     Carries membership (`_members` maps each element to the subgroup's own
     instance of it, which elements store as their labels), per-element
     conjugacy classes, canonical class representatives (minimum image tuple
-    in the class), and the per-class caches of the free-loop layer: the
-    orbit refinement table and the memo of `closed._loop_class`.
+    in the class), the per-class caches of the free-loop layer (the orbit
+    refinement table and the memo of `closed._loop_class`), and the tables
+    `closed.gauge_canonical` reads: the root twists, each element's image
+    tuple with its inverse's in sorted order, and each element's string.
     """
 
     __slots__ = (
@@ -147,6 +149,8 @@ class Subgroup:
         "_class_rep",
         "_refinements",
         "_loop_classes",
+        "_roots",
+        "_label_strings",
     )
 
     def __init__(self, n: int, generators=()):
@@ -163,6 +167,8 @@ class Subgroup:
         self._class_rep = {}
         self._refinements = {}
         self._loop_classes = {}
+        self._roots = tuple((h.images, h.inverse().images) for h in sorted(self.elements))
+        self._label_strings = {h.images: str(h.images) for h in self.elements}
 
     @classmethod
     def trivial(cls, n: int) -> "Subgroup":

@@ -61,19 +61,49 @@ def leaf_addresses(tree):
     return out
 
 
+def _leaves_up_to(tree, bound: int, n: int) -> int:
+    """Leaf count of an n-ary tree, or `bound` once the count is known to
+    reach it: a tree with c carets has c * (n - 1) + 1 leaves, so the walk
+    stops at the caret that takes that figure to `bound`."""
+    carets = 0
+    stack = [tree]
+    while carets * (n - 1) + 1 < bound and stack:
+        node = stack.pop()
+        if node != LEAF:
+            carets += 1
+            stack.extend(node)
+    return min(carets * (n - 1) + 1, bound)
+
+
 def expand_leaf(tree, leaf_index: int, n: int):
-    """Replace the leaf_index-th leaf (1-based) with a caret of n leaves."""
-    addrs = leaf_addresses(tree)
-    if not 1 <= leaf_index <= len(addrs):
-        raise IndexError(f"leaf index {leaf_index} out of range 1..{len(addrs)}")
+    """Replace the leaf_index-th leaf (1-based) with a caret of n leaves.
+
+    The walk down to the leaf counts the leaves of each child it passes, up
+    to the index still sought (`_leaves_up_to`), and the last child holds
+    the leaf if no earlier one does; so a comb is expanded at either end in
+    time linear in its depth, and not quadratic, as listing every leaf
+    address would be."""
     path = []  # (node, child index) on the way down to the leaf
-    for c in addrs[leaf_index - 1]:
-        path.append((tree, c))
-        tree = tree[c - 1]
-    tree = (LEAF,) * n
-    for node, c in reversed(path):
-        tree = node[: c - 1] + (tree,) + node[c:]
-    return tree
+    i = leaf_index
+    node = tree
+    while node != LEAF and i >= 1:
+        for c in range(1, n):
+            size = _leaves_up_to(node[c - 1], i, n)
+            if i <= size:
+                break
+            i -= size
+        else:
+            c = n
+        path.append((node, c))
+        node = node[c - 1]
+    if i != 1:
+        raise IndexError(
+            f"leaf index {leaf_index} out of range 1..{validate_tree(tree, n)}"
+        )
+    node = (LEAF,) * n
+    for parent, c in reversed(path):
+        node = parent[: c - 1] + (node,) + parent[c:]
+    return node
 
 
 def tree_from_addresses(addresses, n: int):

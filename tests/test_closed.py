@@ -1,9 +1,10 @@
 import functools
 import itertools
 import math
+import pathlib
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +35,7 @@ from vnh.diagrams import (
     SPLIT,
     DiagramError,
     _Graph,
-    _join_below,
+    _lockstep,
     _loop_token,
     _scan_ports,
     _tree_pair_graph,
@@ -52,9 +53,10 @@ from vnh.elements import (
     random_element,
     reduce_element,
 )
+from vnh.io import element_from_json
 from vnh.perms import Perm, Subgroup
 from vnh.rewriting import _reduce_graph
-from vnh.trees import LEAF
+from vnh.trees import LEAF, tree_from_addresses
 
 
 def conj(h, f):
@@ -963,28 +965,148 @@ def test_closed_canonical_matches_reference():
         assert cd._g.closed_canonical() == _reference_closed_canonical(cd._g)
 
 
-def test_join_below_orders_joined_strings_not_tokens():
+def _comb_trees(k):
+    """The right and left V2 combs with k leaves."""
+    right = [(2,) * i + (1,) for i in range(k - 1)] + [(2,) * (k - 1)]
+    left = [(1,) * (k - 1)] + [(1,) * i + (2,) for i in range(k - 2, -1, -1)]
+    return tree_from_addresses(right, 2), tree_from_addresses(left, 2)
+
+
+def _comb(k, h, label):
+    """The V2 element mapping the k-leaf right comb onto the left one, tau
+    the identity and every label `label`: its reduced closure is one
+    component that its rotations map onto itself."""
+    right, left = _comb_trees(k)
+    return TreePairElement(2, h, right, left, tuple(range(1, k + 1)), (label,) * k)
+
+
+def _twin_comb(k, h, label):
+    """`_comb(k, h, label)` on each half of the interval: a closure with
+    two equal components."""
+    right, left = _comb_trees(k)
+    return TreePairElement(
+        2, h, (right, right), (left, left), tuple(range(1, 2 * k + 1)), (label,) * (2 * k)
+    )
+
+
+def _count_pieces(monkeypatch):
+    """Wrap both serializers, `closed._gauge_pieces` and
+    `_Graph._canon_pieces`, and return the counter they fill: runs started,
+    runs drawn in full (their bare last piece drawn) and pieces drawn."""
+    counts = Counter()
+
+    def wrap(owner, name):
+        serialize = getattr(owner, name)
+
+        def counted(*args):
+            counts["runs"] += 1
+            for piece in serialize(*args):
+                counts["pieces"] += 1
+                counts["full"] += not piece.endswith(";")
+                yield piece
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(closed, "_gauge_pieces")
+    wrap(_Graph, "_canon_pieces")
+    return counts
+
+
+def _symmetric_closures():
+    """(closure, H, rotates) triples: combs and twin combs over V2(Id) and
+    V2(Z2), the latter with identity and with swap labels.  `rotates`
+    marks those whose every component has at least three merges and no
+    sigma-vertex: there the rotations of the comb tie the first runs in
+    full, and both searches skip the starts in their orbits."""
+    swap = Perm((2, 1))
+    groups = [(Subgroup.trivial(2), Perm.identity(2)), (Subgroup.symmetric(2), Perm.identity(2))]
+    groups.append((Subgroup.symmetric(2), swap))
+    return [
+        (reduced_closure(make(k, h, label)), h, k >= 5 and label.is_identity())
+        for make, ks in ((_comb, range(2, 13)), (_twin_comb, range(2, 7)))
+        for h, label in groups
+        for k in ks
+    ]
+
+
+def test_canonical_forms_match_reference_on_symmetric_closures(monkeypatch):
+    # Orbit pruning skips starts on these closures, and the strings and the
+    # vertex order still equal those of serializing every run in full.
+    counts = _count_pieces(monkeypatch)
+    closures = _symmetric_closures()
+    assert any(len(cd._g.components()) == 2 for cd, _, rotates in closures if rotates)
+    for cd, h, rotates in closures:
+        g = cd._g
+        counts.clear()
+        assert gauge_canonical(cd, h) == _reference_gauge_canonical(cd, h)
+        # `gauge_canonical` starts from merges alone, each with every root.
+        merges = sum(1 for kind in g.kind.values() if kind == MERGE)
+        assert counts["runs"] < merges * len(h.elements) or not rotates
+        counts.clear()
+        canonical = g.closed_canonical()
+        assert counts["runs"] < len(g.kind) or not rotates
+        assert canonical == _reference_closed_canonical(g)
+
+
+def test_search_draws_few_runs(monkeypatch):
+    # Pins what the search draws.  Unpruned, the 401-leaf comb closure
+    # (399 splits, 399 merges, 3,192 pieces a run) draws all 798 runs of
+    # either form in full, 2,547,216 pieces; the V3(S3) closure of
+    # tests/data/close/v3_s3.json draws 24 gauge runs (8 in full) and
+    # 195 pieces against the least so far.
+    counts = _count_pieces(monkeypatch)
+    cd = reduced_closure(_comb(401, Subgroup.trivial(2), Perm.identity(2)))
+    gauge_canonical(cd, Subgroup.trivial(2))
+    assert counts == {"runs": 2, "full": 2, "pieces": 6384}
+    counts.clear()
+    cd._g.closed_canonical()
+    assert counts == {"runs": 3, "full": 3, "pieces": 9576}
+    path = pathlib.Path(__file__).parent / "data" / "close" / "v3_s3.json"
+    g = element_from_json(path.read_text())
+    cd = reduced_closure(g)
+    counts.clear()
+    gauge_canonical(cd, g.subgroup)
+    assert counts == {"runs": 12, "full": 2, "pieces": 62}
+    counts.clear()
+    cd._g.closed_canonical()
+    assert counts == {"runs": 9, "full": 6, "pieces": 214}
+
+
+def _pieces(*tokens):
+    """A run's pieces: each token and ";", the last token bare."""
+    return iter([t + ";" for t in tokens[:-1]] + [tokens[-1]])
+
+
+def test_lockstep_orders_joined_strings_not_tokens():
     # "w1" is a prefix of "w12", so token by token ["w1", "x"] < ["w12"];
     # joined, ";" sorts after "2", so "w12" < "w1;x".
     assert ["w1", "x"] < ["w12"]
     assert "w12" < "w1;x"
-    assert _join_below(iter(["w12"]), "w1;x") == "w12"
-    assert _join_below(iter(["w1", "x"]), "w12") is None
-    assert _join_below(iter(["w1", "x"]), None) == "w1;x"
-    # Equal strings are not below; a proper prefix is.
-    assert _join_below(iter(["a", "b"]), "a;b") is None
-    assert _join_below(iter(["a"]), "a;b") == "a"
-    assert _join_below(iter(["a", "b", "c"]), "a;b") is None
+    drawn, live, tied = _lockstep([(_pieces("w1", "x"), "a"), (_pieces("w12"), "b")], None)
+    assert ("".join(drawn), [tag for _, tag in live], tied) == ("w12", ["b"], False)
+    assert _lockstep([(_pieces("w1", "x"), "a")], ["w12"]) == (None, [], False)
+    # The last token is compared bare: "x;w1" < "x;w12", though "w1;" > "w12;".
+    drawn, live, _ = _lockstep([(_pieces("x", "w12"), "a"), (_pieces("x", "w1"), "b")], None)
+    assert ("".join(drawn), [tag for _, tag in live]) == ("x;w1", ["b"])
+    # Equal strings tie, and keep their order; a proper prefix is below.
+    drawn, live, tied = _lockstep([(_pieces("a", "b"), "a"), (_pieces("a", "b"), "b")], ["a;", "b"])
+    assert ("".join(drawn), [tag for _, tag in live], tied) == ("a;b", ["a", "b"], True)
+    drawn, live, tied = _lockstep([(_pieces("a"), "a")], ["a;", "b"])
+    assert ("".join(drawn), tied) == ("a", False)
+    assert _lockstep([(_pieces("a", "b", "c"), "a")], ["a;", "b"]) == (None, [], False)
 
 
-def test_join_below_stops_at_the_first_larger_piece():
-    def tokens(first):
-        yield "m"
-        yield first
-        raise AssertionError("drew a token after the join passed the bound")
+def test_lockstep_stops_at_the_first_larger_piece():
+    def run(second):
+        yield "m;"
+        yield second
+        raise AssertionError("drew a piece after the run sorted above the least")
 
-    assert _join_below(tokens("i1>2"), "m;i1>1;o0>0") is None
-    assert _join_below(tokens("i1>1;o0>0x"), "m;i1>1;o0>0") is None
+    assert _lockstep([(run("i1>2;"), "a")], ["m;", "i1>1;", "o0>0"])[1] == []
+    assert _lockstep([(run("i1>1;o0>0x"), "a")], ["m;", "i1>1;", "o0>0"])[1] == []
+    # Drawn together, a run stops at its first piece above the other's.
+    drawn, live, _ = _lockstep([(run("i1>2;"), "a"), (_pieces("m", "i1>1", "o0>0"), "b")], None)
+    assert ("".join(drawn), [tag for _, tag in live]) == ("m;i1>1;o0>0", ["b"])
 
 
 def _twist(cd, twists):

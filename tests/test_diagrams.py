@@ -1,10 +1,11 @@
 import inspect
 import random
 import sys
+import time
 
 import pytest
 
-from vnh.closed import add_coboundary, close
+from vnh.closed import add_coboundary, are_conjugate, close
 from vnh.diagrams import (
     SIGMA,
     SINK,
@@ -42,6 +43,7 @@ from vnh.trees import (
     leaf_addresses,
     parse_tree,
     random_tree,
+    tree_from_addresses,
 )
 
 
@@ -121,6 +123,37 @@ def test_deep_combs_expand_and_cut_without_recursion():
     assert m_right == [1] * 400 + list(range(2, 402))
     assert m_left == list(range(1, 401)) + [401] * 400
     assert back.triples() == g.triples()
+
+
+def test_2001_leaf_comb_expands_cuts_and_is_conjugate_to_itself():
+    # The V2(Id) element mapping the 2,001-leaf right comb onto the left
+    # one, 2,000 levels deep, at the default recursion limit, which is below
+    # that depth: anything that recursed per level would fail.  Each comb is
+    # the 2,000-leaf one expanded at its deep end; the element's diagram is
+    # reduced and cut back, and its closure canonicalized for `are_conjugate`.
+    # Trees are compared through leaf addresses and triples, as `==` on
+    # nested tuples recurses.  Measured at 1.8-2.7 s on a shared 2-core
+    # host; before the search pruned automorphism orbits, `are_conjugate`
+    # of the pair alone ran past 60 s.
+    assert sys.getrecursionlimit() < 2000
+    k = 2001
+    h = Subgroup.trivial(2)
+    right_addrs = [(2,) * i + (1,) for i in range(k - 1)] + [(2,) * (k - 1)]
+    left_addrs = [(1,) * (k - 1)] + [(1,) * i + (2,) for i in range(k - 2, -1, -1)]
+    start = time.perf_counter()
+    right = tree_from_addresses(right_addrs[:-2] + [(2,) * (k - 2)], 2)
+    left = tree_from_addresses([(1,) * (k - 2)] + left_addrs[2:], 2)
+    right = expand_leaf(right, k - 1, 2)
+    left = expand_leaf(left, 1, 2)
+    g = TreePairElement(2, h, right, left, tuple(range(1, k + 1)), (Perm.identity(2),) * k)
+    back = cut_to_element(reduce(build_diagram(g)), h)
+    conjugate = are_conjugate(g, g)
+    elapsed = time.perf_counter() - start
+    assert leaf_addresses(right) == right_addrs
+    assert leaf_addresses(left) == left_addrs
+    assert back.triples() == g.triples()
+    assert conjugate
+    assert elapsed < 10.0
 
 
 def test_internal_nodes_match_the_set_of_proper_prefixes(rng):

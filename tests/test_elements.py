@@ -109,6 +109,20 @@ def test_eval_prefix_rejects_letters_outside_the_alphabet():
             eval_prefix(g, word)
 
 
+def test_eval_prefix_names_a_bad_letter_above_the_domain_leaf():
+    # The 2-leaf swap: letter 0 or 3 in the first place lies above both
+    # domain leaves (1,) and (2,), where no prefix of the word is a leaf;
+    # it is a bad letter, not a shallow word.
+    s = Perm((2, 1))
+    t = (LEAF, LEAF)
+    g = TreePairElement(2, Subgroup.symmetric(2), t, t, (2, 1), (s, s))
+    for word, bad in (((0, 1), 0), ((3,), 3), ((1, 0), 0)):
+        with pytest.raises(ValueError, match=f"letter {bad} is not in 1..2"):
+            eval_prefix(g, word)
+    with pytest.raises(ValueError, match="too shallow"):
+        eval_prefix(g, ())
+
+
 def test_eval_bijective_on_deep_words(rng, group):
     # The images of all depth-d branches form a complete pairwise
     # independent branch set: g permutes the Cantor set.

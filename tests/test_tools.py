@@ -1,13 +1,20 @@
-"""The code-line count of `tools/code_lines.py`, on fixed snippets."""
+"""The tools: the code-line count of `tools/code_lines.py` on fixed
+snippets, and `tools/canon_digest.py` against its committed digest."""
 
 import importlib.util
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
-count = code_lines.code_lines
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, _ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+count = _tool("code_lines").code_lines
 
 
 def test_docstrings_comments_and_blank_lines_count_zero():
@@ -33,3 +40,10 @@ def test_a_string_statement_that_is_not_a_docstring_counts():
 def test_a_three_line_call_counts_three():
     assert count("print(\n    1,\n    2)\n") == 3
     assert count('"""Doc."""\n\nprint(\n    1,\n    2,\n)\n') == 4
+
+
+def test_canon_digest_of_seed_1_matches_the_committed_digest():
+    # CI checks all three seeds; the committed lines were computed before
+    # the canonical search was rewritten, and must not move.
+    committed = (_ROOT / "tests" / "data" / "canon_digest.txt").read_text().splitlines()
+    assert _tool("canon_digest").digest_line(1) == committed[0]
