@@ -51,6 +51,7 @@ from .closed import _invariant, _torsion_records
 from .elements import (
     TreePairElement,
     _at_point,
+    _check_acts_on,
     _check_compatible,
     _collapse_once,
     _compose_triples,
@@ -424,6 +425,7 @@ def class_census_experiment(
     element is built only for the first of each class, its
     representative."""
     _check_order_p(n, p, subgroup.order, "H")
+    _check_acts_on(n, subgroup)
     _check_positive(max_leaves, "leaf bound")
     classes = {}  # conjugacy invariant -> first element of the class
     for triple_by_dom in _order_p_candidates(n, subgroup, p, max_leaves):

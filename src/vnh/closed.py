@@ -338,10 +338,13 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     """Canonical string of the graph part modulo vertex twists over H,
     coboundaries, and port-graph isomorphism: per component the least
     gauge-fixed BFS serialization over every (start vertex, root twist h),
-    found by `diagrams._least_per_component`.  It draws the |H| runs of one
-    start together, each stopping at its first piece above the least so
-    far, so the string is the one that serializing every pair in full and
-    taking `min` gives.
+    found by `diagrams._least_per_component`.  Only the vertices whose
+    token, the first piece of their runs, is least start runs: the merges
+    (for n >= 2 a closed component has as many merges as splits, so one
+    with a skeleton has a merge).  The search draws the |H| runs of one
+    start together with the least string so far, each stopping at its
+    first piece above it, so the string is the one that serializing every
+    pair in full and taking `min` gives.
 
     It also skips starts in the orbit of a start already tried, and here
     the tie behind each automorphism is a gauge-fixed one.  Write S(s, h)
@@ -366,15 +369,6 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
     roots, labels = subgroup._roots, subgroup._label_strings
     scans = {kind: _scan_ports(kind, g.n) for kind in (SPLIT, MERGE)}
 
-    def starts(comp):
-        # A component holds its splits and merges, joined by sigma chains;
-        # a cycle of sigma-vertices alone has no skeleton, so no start.
-        # For n >= 2, counting ports, a closed component has as many merges
-        # as splits, and a run from a merge ("m;...") sorts below any run
-        # from a split.
-        merges = sorted(v for v in comp if verts.get(v) == MERGE)
-        return merges or sorted(v for v in comp if v in verts)
-
     def runs(start):
         orders = [[] for _ in roots]
         return [
@@ -382,7 +376,8 @@ def gauge_canonical(cd: ClosedDiagram, subgroup: Subgroup) -> str:
             for root, order in zip(roots, orders)
         ]
 
-    return "#".join(s for s, _ in _least_per_component(g, starts, runs))
+    firsts = {v: kind[0] + ";" for v, kind in verts.items()}
+    return "#".join(s for s, _ in _least_per_component(g, firsts, runs))
 
 
 # -- free-loop record equivalence ------------------------------------------

@@ -29,11 +29,13 @@ under winding up to coboundary (weights are normalized to zero on the
 BFS tree).  An open diagram's traversal is seeded at its ordered sources;
 a closed graph's is the least over all start vertices per component,
 found by the one least-serialization search, `_least_per_component`,
-which `closed.gauge_canonical` runs too.  It draws the runs of one start
-together, token by token, keeping only those whose prefix is least
-(`_lockstep`), and skips each start in the orbit of one already tried
-under the automorphisms that full ties reveal (`_Orbits`); both steps
-leave the result that of serializing every run in full.
+which `closed.gauge_canonical` runs too.  Only the vertices whose own
+token, the first piece of each of their runs, is least start runs.  It
+draws the runs of one start together with the least string so far, one
+more run placed first, token by token, keeping only those whose prefix
+is least (`_lockstep`), and skips each start in the orbit of one already
+tried under the automorphisms that full ties reveal (`_Orbits`); these
+steps leave the result that of serializing every run in full.
 """
 
 from __future__ import annotations
@@ -328,10 +330,8 @@ class _Graph:
         while qi < len(order):
             v = order[qi]
             qi += 1
-            kind = self.kind[v]
-            lab = self.label.get(v)
-            yield _KIND_CHAR[kind] + ("" if lab is None else str(lab.images)) + ";"
-            ports = _scan_ports(kind, self.n)
+            yield self._token(v)
+            ports = _scan_ports(self.kind[v], self.n)
             last = ports[-1]
             for port in ports:
                 d, p = port
@@ -348,18 +348,24 @@ class _Graph:
                     piece = f"{d}{p}>{num[peer]}.{peerport};"
                 yield piece[:-1] if port is last and qi == len(order) else piece
 
+    def _token(self, v):
+        """Vertex v's own token in the BFS serialization, and its ";"."""
+        lab = self.label.get(v)
+        return _KIND_CHAR[self.kind[v]] + ("" if lab is None else str(lab.images)) + ";"
+
     def closed_canonical(self):
         """Canonical (string, vertex order) for a source-free graph: per
         component the least BFS serialization over all start vertices
         (`_least_per_component`, one run per start), with winding weights
         normalized to zero on the BFS tree; a tie keeps the earlier start's
-        order."""
+        order.  A run starts with its start's own token, so only the
+        vertices with the least token start runs."""
 
         def runs(start):
             order = []
             return [(self._canon_pieces([start], order), order)]
 
-        results = _least_per_component(self, sorted, runs)
+        results = _least_per_component(self, {v: self._token(v) for v in self.kind}, runs)
         loops = ",".join(sorted(_loop_token(r) for r in self.free_loops))
         return "#".join(s for s, _ in results) + "||" + loops, [v for _, o in results for v in o]
 
@@ -388,15 +394,16 @@ class _Graph:
         return not any(dist[u] + w < dist[v] for u, v, w in arcs)
 
 
-def _lockstep(runs, best):
+def _lockstep(runs):
     """Draw `runs`, a list of (pieces, tag) pairs, one piece at a time
-    together against `best`, the pieces of the least string so far or None,
-    keeping after each piece only the runs whose prefix is the least one.
+    together, keeping after each piece only the runs whose prefix is the
+    least one, until one run is left or the survivors reach their ends.
 
-    Returns (pieces, survivors, tied): the survivors are the runs, in their
-    order, that drew the least string in full and `pieces` are its pieces;
-    `tied` says that string equals `best`.  When every run sorts above
-    `best`, survivors is empty.
+    Returns (pieces, survivors): the survivors are the runs, in their order,
+    that draw the least joined string, and `pieces` are the pieces drawn.
+    A lone survivor is not drawn further: the least string is `pieces`
+    followed by what is left in its iterator.  Two or more survivors have
+    drawn it in full, so they tie.
 
     Comparing piece by piece gives the order of the joined strings.  A
     piece is a token and ";", or the last token bare, and no token holds a
@@ -406,35 +413,16 @@ def _lockstep(runs, best):
     together.  This holds for runs of unequal lengths too; the runs of one
     component of a graph all have the same length, as every breadth-first
     serialization of it reaches every vertex and emits one token per
-    vertex and one per port.  A lone run that nothing can tie any more is
-    drawn to its end without comparisons."""
-    live, drawn, rival = runs, [], best
+    vertex and one per port."""
+    live, drawn = runs, []
     while len(live) > 1:
         pieces = [next(it) for it, _ in live]
         least = min(pieces)
-        if rival is not None:
-            other = rival[len(drawn)]
-            if other < least:
-                return None, [], False
-            if least < other:
-                rival = None
         live = [run for run, piece in zip(live, pieces) if piece == least]
         drawn.append(least)
         if least[-1] != ";":
-            return drawn, live, rival is not None
-    it = live[0][0]
-    if rival is not None:
-        for piece in it:
-            other = rival[len(drawn)]
-            drawn.append(piece)
-            if piece != other:
-                if other < piece:
-                    return None, [], False
-                break
-        else:
-            return drawn, live, True
-    drawn.extend(it)
-    return drawn, live, False
+            break
+    return drawn, live
 
 
 class _Orbits:
@@ -468,45 +456,55 @@ class _Orbits:
                     self.tried.add(ra)
 
 
-def _least_per_component(g, starts, runs):
+def _least_per_component(g, firsts, runs):
     """The least serialization of each component of g that has a start, as
     (string, vertex order) pairs sorted by string; a tie keeps the earlier
     run's order.
 
-    `starts(comp)` lists a component's start vertices in increasing order,
-    and `runs(start)` returns the runs from one start, a list of (pieces,
-    order) pairs: `order` fills with the vertices in the order the pieces
-    number them.  The starts are taken in turn, and the runs of one start
-    are drawn together against the least string so far (`_lockstep`), so
-    each run stops at the first piece that sorts above it.
+    `firsts` maps each vertex that starts runs to the first piece of every
+    run from it, its own token, and `runs(start)` returns the runs from one
+    start, a list of (pieces, order) pairs: `order` fills with the vertices
+    in the order the pieces number them.  Two runs whose first pieces
+    differ are ordered by those pieces, so only the vertices of a
+    component whose first piece is least can give its least string, and
+    they are the starts, taken in increasing order.  The runs of one start are drawn
+    together with the least string so far, placed first as one more run
+    (`_lockstep`): each run stops at the first piece that sorts above the
+    least, the first survivor is the new least, and if the old least
+    survives it stays first, so a tie keeps the earlier order.
 
-    A run that ties the least string in full gives an automorphism: equal
-    serializations describe the same numbered graph, so mapping each vertex
-    of the one vertex order to the vertex at the same place in the other
-    preserves everything the serialization encodes.  Every start vertex
-    then draws the same serializations as its image, so every start in the
-    orbit of a start already tried, under the group the automorphisms found
-    generate, draws only strings already drawn.  Such starts come later, so
-    they could at best tie, and a tie keeps the earlier order: skipping them
-    (`_Orbits`) leaves the result what a run over every start gives.  The
-    callers' docstrings say what the serializations encode."""
+    Every other survivor ties the least string in full and gives an
+    automorphism: equal serializations describe the same numbered graph,
+    so mapping each vertex of the one vertex order to the vertex at the
+    same place in the other preserves everything the serialization
+    encodes.  Every start vertex then draws the same serializations as its
+    image, so every start in the orbit of a start already tried, under the
+    group the automorphisms found generate, draws only strings already
+    drawn.  Such starts come later, so they could at best tie, and a tie
+    keeps the earlier order: skipping them (`_Orbits`) leaves the result
+    what a run over every start gives.  The callers' docstrings say what
+    the serializations encode."""
     results = []
     for comp in g.components():
+        tokens = {v: firsts[v] for v in comp if v in firsts}
+        if not tokens:
+            continue
+        least = min(tokens.values())
         best = best_order = None
         orbits = _Orbits()
-        for start in starts(comp):
+        for start in sorted(v for v, token in tokens.items() if token == least):
             if orbits.find(start) in orbits.tried:
                 continue
-            drawn, live, tied = _lockstep(runs(start), best)
-            if live:
-                if not tied:
-                    best, best_order = drawn, live[0][1]
-                    live = live[1:]
-                for _, order in live:
-                    orbits.merge(best_order, order)
+            so_far = [(iter(best), best_order)] if best else []
+            drawn, live = _lockstep(so_far + runs(start))
+            (rest, order), *ties = live
+            if order is not best_order:
+                drawn.extend(rest)
+                best, best_order = drawn, order
+            for _, tie in ties:
+                orbits.merge(best_order, tie)
             orbits.tried.add(orbits.find(start))
-        if best is not None:
-            results.append(("".join(best), best_order))
+        results.append(("".join(best), best_order))
     results.sort(key=lambda t: t[0])
     return results
 

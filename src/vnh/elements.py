@@ -51,6 +51,7 @@ from .perms import Perm, Subgroup
 from .trees import (
     LEAF,
     all_trees,
+    format_tree,
     leaf_addresses,
     random_tree,
     tree_from_addresses,
@@ -73,8 +74,10 @@ class TreePairElement:
     `==` and `hash` compare representatives field by field (n, H, both
     trees, tau and the labels), as `key()` does apart from H: two
     representatives of one homeomorphism that differ by caret expansions
-    are unequal.  `equal_elements` compares the homeomorphisms, which is
-    equality of the reduced representatives (`reduce_element`)."""
+    are unequal.  `==` compares H and `key()`, which holds the trees in
+    text form, so it works at any tree depth.  `equal_elements` compares
+    the homeomorphisms, which is equality of the reduced representatives
+    (`reduce_element`)."""
 
     n: int
     subgroup: Subgroup
@@ -84,12 +87,15 @@ class TreePairElement:
     labels: tuple  # labels[j-1] = Perm attached to range leaf j
 
     def __post_init__(self):
-        if self.subgroup.n != self.n:
-            raise ValueError(f"subgroup H acts on {self.subgroup.n} letters, not n = {self.n}")
+        _check_acts_on(self.n, self.subgroup)
         k = validate_tree(self.domain_tree, self.n)
         if validate_tree(self.range_tree, self.n) != k:
             raise ValueError("domain and range leaf counts differ")
-        if sorted(self.tau) != list(range(1, k + 1)):
+        # 1.0 and True equal 1, so the bijection test alone lets them through.
+        tau = tuple(self.tau)
+        if not all(type(i) is int for i in tau):
+            raise ValueError(f"tau must hold integers, got {self.tau!r}")
+        if sorted(tau) != list(range(1, k + 1)):
             raise ValueError(f"tau is not a bijection on 1..{k}: {self.tau}")
         if len(self.labels) != k:
             raise ValueError("one label per range leaf required")
@@ -100,7 +106,8 @@ class TreePairElement:
             labels = tuple([members[lab] for lab in self.labels])
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} not in H") from None
-        object.__setattr__(self, "labels", labels)
+        # A frozen dataclass refuses setattr; its fields live in __dict__.
+        self.__dict__.update(tau=tau, labels=labels)
 
     @classmethod
     def _trusted(cls, n, subgroup, domain_tree, range_tree, tau, labels) -> "TreePairElement":
@@ -141,18 +148,24 @@ class TreePairElement:
         return {a: (ran_addrs[j - 1], labels[j - 1]) for a, j in zip(dom_addrs, self.tau)}
 
     def key(self):
-        """Hashable identity of the representative (not of the homeomorphism)."""
+        """Hashable identity of the representative (not of the homeomorphism),
+        with the trees in text form: nested tuples compare by recursion, one
+        level at a time, and text compares at any depth."""
         return (
             self.n,
-            self.domain_tree,
-            self.range_tree,
+            format_tree(self.domain_tree),
+            format_tree(self.range_tree),
             self.tau,
             tuple(l.images for l in self.labels),
         )
 
-    def __repr__(self):
-        from .trees import format_tree
+    def __eq__(self, other):
+        """Field by field: the same H and the same `key()`."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.subgroup == other.subgroup and self.key() == other.key()
 
+    def __repr__(self):
         labs = [list(l.images) for l in self.labels]
         return (
             f"TreePairElement(n={self.n}, {format_tree(self.domain_tree)} -> "
@@ -178,6 +191,11 @@ def element_from_triples(n, subgroup, triple_by_dom) -> TreePairElement:
 def identity_element(n: int, subgroup: Subgroup) -> TreePairElement:
     one = Perm.identity(n)
     return TreePairElement(n, subgroup, LEAF, LEAF, (1,), (one,))
+
+
+def _check_acts_on(n: int, subgroup: Subgroup):
+    if subgroup.n != n:
+        raise ValueError(f"subgroup H acts on {subgroup.n} letters, not n = {n}")
 
 
 def _check_compatible(f: TreePairElement, g: TreePairElement):
@@ -653,6 +671,7 @@ def reduced_elements(n: int, subgroup: Subgroup, max_leaves: int):
     equals the validated element.  The candidates of one shape block share
     their tree objects.
     """
+    _check_acts_on(n, subgroup)
     elems = sorted(subgroup.elements)
     by_images = {lab.images: lab for lab in elems}
     for dom, dom_addrs, ran, ran_addrs in _shape_blocks(n, max_leaves):

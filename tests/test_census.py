@@ -488,6 +488,13 @@ def test_census_rejects_composite_p():
         class_census_experiment(2, Subgroup.trivial(2), 1, 4)
 
 
+def test_census_rejects_subgroup_of_another_degree():
+    # S2 acts on 2 letters; at n = 3 the search would index its images past
+    # their end.
+    with pytest.raises(ValueError, match="acts on 2 letters, not n = 3"):
+        class_census_experiment(3, Subgroup.symmetric(2), 5, 3)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_census_rejects_arity_below_two(n):
     # Arity is checked first: for n = 1 the p | n-1 check would otherwise

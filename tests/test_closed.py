@@ -1053,14 +1053,17 @@ def test_search_draws_few_runs(monkeypatch):
     # (399 splits, 399 merges, 3,192 pieces a run) draws all 798 runs of
     # either form in full, 2,547,216 pieces; the V3(S3) closure of
     # tests/data/close/v3_s3.json draws 24 gauge runs (8 in full) and
-    # 195 pieces against the least so far.
+    # 195 pieces against the least so far.  Only the vertices with the
+    # least token start runs: merges on the comb, and on the V3(S3)
+    # closure the one sigma-vertex with the least label, for
+    # `closed_canonical`.
     counts = _count_pieces(monkeypatch)
     cd = reduced_closure(_comb(401, Subgroup.trivial(2), Perm.identity(2)))
     gauge_canonical(cd, Subgroup.trivial(2))
     assert counts == {"runs": 2, "full": 2, "pieces": 6384}
     counts.clear()
     cd._g.closed_canonical()
-    assert counts == {"runs": 3, "full": 3, "pieces": 9576}
+    assert counts == {"runs": 2, "full": 2, "pieces": 6384}
     path = pathlib.Path(__file__).parent / "data" / "close" / "v3_s3.json"
     g = element_from_json(path.read_text())
     cd = reduced_closure(g)
@@ -1069,7 +1072,7 @@ def test_search_draws_few_runs(monkeypatch):
     assert counts == {"runs": 12, "full": 2, "pieces": 62}
     counts.clear()
     cd._g.closed_canonical()
-    assert counts == {"runs": 9, "full": 6, "pieces": 214}
+    assert counts == {"runs": 1, "full": 1, "pieces": 35}
 
 
 def _pieces(*tokens):
@@ -1077,23 +1080,28 @@ def _pieces(*tokens):
     return iter([t + ";" for t in tokens[:-1]] + [tokens[-1]])
 
 
+def _least(runs):
+    """`_lockstep` of runs, as (the least string, the survivors' tags): the
+    pieces drawn, then what is left in the first survivor."""
+    drawn, live = _lockstep(runs)
+    return "".join(drawn) + "".join(live[0][0]), [tag for _, tag in live]
+
+
 def test_lockstep_orders_joined_strings_not_tokens():
     # "w1" is a prefix of "w12", so token by token ["w1", "x"] < ["w12"];
     # joined, ";" sorts after "2", so "w12" < "w1;x".
     assert ["w1", "x"] < ["w12"]
     assert "w12" < "w1;x"
-    drawn, live, tied = _lockstep([(_pieces("w1", "x"), "a"), (_pieces("w12"), "b")], None)
-    assert ("".join(drawn), [tag for _, tag in live], tied) == ("w12", ["b"], False)
-    assert _lockstep([(_pieces("w1", "x"), "a")], ["w12"]) == (None, [], False)
+    assert _least([(_pieces("w1", "x"), "a"), (_pieces("w12"), "b")]) == ("w12", ["b"])
+    # The least string so far is one more run, placed first.
+    assert _least([(_pieces("w12"), "best"), (_pieces("w1", "x"), "a")]) == ("w12", ["best"])
     # The last token is compared bare: "x;w1" < "x;w12", though "w1;" > "w12;".
-    drawn, live, _ = _lockstep([(_pieces("x", "w12"), "a"), (_pieces("x", "w1"), "b")], None)
-    assert ("".join(drawn), [tag for _, tag in live]) == ("x;w1", ["b"])
+    assert _least([(_pieces("x", "w12"), "a"), (_pieces("x", "w1"), "b")]) == ("x;w1", ["b"])
     # Equal strings tie, and keep their order; a proper prefix is below.
-    drawn, live, tied = _lockstep([(_pieces("a", "b"), "a"), (_pieces("a", "b"), "b")], ["a;", "b"])
-    assert ("".join(drawn), [tag for _, tag in live], tied) == ("a;b", ["a", "b"], True)
-    drawn, live, tied = _lockstep([(_pieces("a"), "a")], ["a;", "b"])
-    assert ("".join(drawn), tied) == ("a", False)
-    assert _lockstep([(_pieces("a", "b", "c"), "a")], ["a;", "b"]) == (None, [], False)
+    runs = [(_pieces("a", "b"), "best"), (_pieces("a", "b"), "a"), (_pieces("a", "b"), "b")]
+    assert _least(runs) == ("a;b", ["best", "a", "b"])
+    assert _least([(_pieces("a", "b"), "best"), (_pieces("a"), "a")]) == ("a", ["a"])
+    assert _least([(_pieces("a", "b"), "best"), (_pieces("a", "b", "c"), "a")]) == ("a;b", ["best"])
 
 
 def test_lockstep_stops_at_the_first_larger_piece():
@@ -1102,11 +1110,28 @@ def test_lockstep_stops_at_the_first_larger_piece():
         yield second
         raise AssertionError("drew a piece after the run sorted above the least")
 
-    assert _lockstep([(run("i1>2;"), "a")], ["m;", "i1>1;", "o0>0"])[1] == []
-    assert _lockstep([(run("i1>1;o0>0x"), "a")], ["m;", "i1>1;", "o0>0"])[1] == []
+    # A start whose runs all lose leaves the rest of the least so far undrawn.
+    for second in ("i1>2;", "i1>1;o0>0x"):
+        best = _pieces("m", "i1>1", "o0>0")
+        drawn, live = _lockstep([(best, "best"), (run(second), "a")])
+        assert ([tag for _, tag in live], list(best)) == (["best"], ["o0>0"])
     # Drawn together, a run stops at its first piece above the other's.
-    drawn, live, _ = _lockstep([(run("i1>2;"), "a"), (_pieces("m", "i1>1", "o0>0"), "b")], None)
-    assert ("".join(drawn), [tag for _, tag in live]) == ("m;i1>1;o0>0", ["b"])
+    runs = [(run("i1>2;"), "a"), (_pieces("m", "i1>1", "o0>0"), "b")]
+    assert _least(runs) == ("m;i1>1;o0>0", ["b"])
+
+
+_PREFIX_TOKENS = st.sampled_from(["w", "w1", "w12", "w2", "x"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_PREFIX_TOKENS, min_size=1, max_size=4), min_size=1, max_size=5))
+def test_lockstep_keeps_exactly_the_runs_that_draw_the_least_string(token_lists):
+    # Tokens that are prefixes of one another, in runs of unequal lengths:
+    # brute force joins every run and takes the least string.
+    strings = [";".join(tokens) for tokens in token_lists]
+    least = min(strings)
+    runs = [(_pieces(*tokens), i) for i, tokens in enumerate(token_lists)]
+    assert _least(runs) == (least, [i for i, s in enumerate(strings) if s == least])
 
 
 def _twist(cd, twists):

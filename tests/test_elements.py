@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from conftest import candidates
@@ -27,6 +28,7 @@ from vnh.elements import (
     reduce_element,
     reduced_elements,
 )
+from vnh.io import element_from_json, element_to_json
 from vnh.perms import Perm, Subgroup
 from vnh.trees import (
     LEAF,
@@ -36,6 +38,7 @@ from vnh.trees import (
     leaf_addresses,
     parse_tree,
     random_tree,
+    tree_from_addresses,
 )
 
 
@@ -51,6 +54,52 @@ def test_element_refuses_subgroup_of_another_degree():
     caret = (LEAF,) * 3
     with pytest.raises(ValueError, match="not n = 3"):
         TreePairElement(3, Subgroup.symmetric(2), caret, caret, (1, 2, 3), (Perm((1, 2)),) * 3)
+
+
+def test_enumeration_refuses_subgroup_of_another_degree():
+    # The enumeration builds its elements unchecked, so it checks the
+    # degree of H itself, before the first candidate.
+    with pytest.raises(ValueError, match="acts on 2 letters, not n = 3"):
+        next(reduced_elements(3, Subgroup.symmetric(2), 3))
+
+
+@pytest.mark.parametrize("tau", [(1.0, 2.0), (True, 2)])
+def test_element_refuses_tau_that_is_not_integers(tau):
+    # 1.0 and True equal 1, so tau would pass as a bijection on 1..2.
+    one = Perm.identity(2)
+    with pytest.raises(ValueError, match="tau must hold integers"):
+        TreePairElement(2, Subgroup.trivial(2), (LEAF, LEAF), (LEAF, LEAF), tau, (one, one))
+
+
+def test_element_stores_tau_as_a_tuple():
+    one, h = Perm.identity(2), Subgroup.trivial(2)
+    g = TreePairElement(2, h, (LEAF, LEAF), (LEAF, LEAF), [2, 1], (one, one))
+    assert g.tau == (2, 1)
+    assert g == caret_swap_v2() and hash(g) == hash(caret_swap_v2())
+
+
+def test_deep_comb_elements_compare_at_the_default_recursion_limit():
+    # The 1,201-leaf combs are 1,200 levels deep, past the default
+    # recursion limit, and `==` on nested tuples recurses once per level.
+    assert sys.getrecursionlimit() < 1200
+    k = 1201
+    right = [(2,) * i + (1,) for i in range(k - 1)] + [(2,) * (k - 1)]
+    left = [(1,) * (k - 1)] + [(1,) * i + (2,) for i in range(k - 2, -1, -1)]
+    # The right comb with its deepest caret moved from the right child of
+    # (2,)*(k-3) to its left child.
+    moved = right[:-3] + [(2,) * (k - 3) + (1, 1), (2,) * (k - 3) + (1, 2), (2,) * (k - 2)]
+    h, tau, labels = Subgroup.trivial(2), tuple(range(1, k + 1)), (Perm.identity(2),) * k
+
+    def comb(dom):
+        dom, ran = tree_from_addresses(dom, 2), tree_from_addresses(left, 2)
+        return TreePairElement(2, h, dom, ran, tau, labels)
+
+    g, copy, other = comb(right), comb(right), comb(moved)
+    assert g == copy and not g != copy and hash(g) == hash(copy)
+    assert g.key() == copy.key()
+    assert element_from_json(element_to_json(g)) == g
+    assert g != other and not g == other
+    assert g.key() != other.key()
 
 
 def eval_on_depth(g, d):
